@@ -7,9 +7,9 @@ benchmark asserts the executor's byte-identity invariant, so the suite
 doubles as a determinism check at benchmark sizes.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only``.
-The machine-readable serial/parallel/cache comparison (including the
-host's CPU count, which bounds any achievable speedup) is produced by
-``benchmarks/run_all.py`` as ``BENCH_engine.json``.
+The host's CPU count bounds any achievable fan-out speedup.  The
+repository's throughput trajectory is ``bench/`` (``python bench/run.py``),
+whose ``sweep-grid`` workload drives the same executor.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ counts give byte-identical floats.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -46,21 +46,14 @@ from .packed import (
     _WRITE_NO_COPY,
     _WRITE_PROPAGATED,
     _WRITE_PROPAGATED_DEALLOCATE,
-    PackedMasks,
-    _sw1_counts,
-    _swk_counts_from_copy,
     _window_copy_after,
     accumulator_dtype,
     kernel_spec,
-    pack_write_masks,
-    packed_cumulative,
 )
 from .session import ensure_threshold
 
 __all__ = [
     "stack_write_masks",
-    "pack_write_masks",
-    "PackedMasks",
     "batched_run_arrays",
     "batched_counts",
     "batched_totals",
@@ -110,8 +103,6 @@ def stack_write_masks(schedules: Sequence[Schedule]) -> np.ndarray:
 
 
 def _as_matrix(writes: np.ndarray) -> np.ndarray:
-    if isinstance(writes, PackedMasks):
-        return writes.to_bool()
     writes = np.asarray(writes)
     if writes.ndim != 2 or writes.dtype != np.bool_:
         raise InvalidParameterError(
@@ -301,18 +292,6 @@ def batched_totals(counts: np.ndarray, cost_model: CostModel) -> np.ndarray:
     return totals
 
 
-def counts_as_dicts(counts: np.ndarray) -> List[Dict]:
-    """Rows of a ``(B, 6)`` count matrix as engine-style count dicts."""
-    return [
-        {
-            kind: int(count)
-            for kind, count in zip(EVENT_KIND_ORDER, row)
-            if count
-        }
-        for row in counts
-    ]
-
-
 # ---------------------------------------------------------------------------
 # Sufficient-statistic parameter scans
 # ---------------------------------------------------------------------------
@@ -328,15 +307,8 @@ def scan_window_counts(
     costs one slice-subtract-compare to recover its window majorities.
     ``k = 1`` routes through the SW1 kernel (its delete-request
     optimization is not the k-window recurrence at k=1).
-
-    ``writes`` may be a :class:`~repro.core.packed.PackedMasks`; the
-    scan then runs entirely on the packed bytes — one popcount prefix
-    sum shared by every k, masked popcounts per k, no code matrices.
     """
     ks = [ensure_odd_window(k) for k in ks]
-    if isinstance(writes, PackedMasks):
-        warmup = ensure_warmup(warmup, writes.length)
-        return _scan_window_counts_packed(writes, ks, warmup)
     writes = _as_matrix(writes)
     warmup = ensure_warmup(warmup, writes.shape[1])
     out = np.empty((len(ks), writes.shape[0], _NUM_KINDS), dtype=np.int64)
@@ -354,24 +326,6 @@ def scan_window_counts(
                 writes, _window_copy_after(cumulative, k)
             )
         out[slot] = batched_counts(codes, warmup)
-    return out
-
-
-def _scan_window_counts_packed(
-    packed: PackedMasks, ks: Sequence[int], warmup: int
-) -> np.ndarray:
-    """The packed k-scan: popcount prefix sum once, popcounts per k."""
-    out = np.empty((len(ks), packed.batch, _NUM_KINDS), dtype=np.int64)
-    if packed.length == 0:
-        out[:] = 0
-        return out
-    cumulative = packed_cumulative(packed)
-    for slot, k in enumerate(ks):
-        if k == 1:
-            out[slot] = _sw1_counts(packed, warmup)[0]
-        else:
-            copy_bits = np.packbits(_window_copy_after(cumulative, k), axis=1)
-            out[slot] = _swk_counts_from_copy(packed, copy_bits, warmup)[0]
     return out
 
 

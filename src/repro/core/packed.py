@@ -35,13 +35,13 @@ unpacked against the engine for every family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
 from ..costmodels.base import EVENT_KIND_ORDER
 from ..exceptions import InvalidParameterError, UnknownAlgorithmError
-from ..types import Schedule, ensure_warmup, write_bits
+from ..types import ensure_warmup
 from .session import AlgorithmSpec, parse_algorithm_name
 
 __all__ = [
@@ -164,31 +164,12 @@ class PackedMasks:
         return PackedMasks(self.bits[start:stop], self.length)
 
 
-def pack_write_masks(
-    masks: Union[np.ndarray, Sequence[Schedule]]
-) -> PackedMasks:
-    """Pack a ``(B, N)`` bool matrix or same-length schedules 8-per-byte.
+def pack_write_masks(writes: np.ndarray) -> PackedMasks:
+    """Pack a ``(B, N)`` bool matrix 8-per-byte.
 
-    The packed counterpart of
-    :func:`repro.core.batched.stack_write_masks`; schedule sequences
-    raise on ragged lengths exactly like the unpacked stacker.
+    Schedules stack first through
+    :func:`repro.core.batched.stack_write_masks`.
     """
-    if isinstance(masks, np.ndarray):
-        return PackedMasks.from_bool(masks)
-    if isinstance(masks, PackedMasks):
-        return masks
-    schedules = list(masks)
-    if not schedules:
-        return PackedMasks(np.empty((0, 0), dtype=np.uint8), 0)
-    lengths = {len(schedule) for schedule in schedules}
-    if len(lengths) != 1:
-        raise InvalidParameterError(
-            f"cannot pack a ragged batch; lengths {sorted(lengths)}"
-        )
-    length = lengths.pop()
-    writes = np.empty((len(schedules), length), dtype=bool)
-    for row, schedule in enumerate(schedules):
-        writes[row] = write_bits(schedule)
     return PackedMasks.from_bool(writes)
 
 

@@ -167,8 +167,8 @@ class CostModel(abc.ABC):
 
         Zero by default: an omniscient offline algorithm needs no
         delete message because both endpoints know the schedule.  The
-        ablation benchmark overrides this (see
-        ``benchmarks/bench_ablation_offline_charging.py``).
+        offline-charging ablation overrides this (see
+        :mod:`repro.experiments.ablations`, experiment ``t-ablations``).
         """
         return 0.0
 

@@ -20,7 +20,9 @@ dispatcher records a structured :class:`~repro.engine.base.BackendDiagnostic`
 and transparently re-executes the spec on the reference backend, so one
 misbehaving kernel or a chaos-run transport failure degrades a sweep's
 speed, never its completion.  Pass ``fallback=False`` to let the error
-propagate (the debugging posture).
+propagate (the debugging posture).  An
+:class:`~repro.exceptions.InvalidParameterError` is a caller error, not
+a backend failure, and always propagates.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from ..core.base import AllocationAlgorithm
 from ..core.registry import make_algorithm
 from ..costmodels.base import CostModel
 from ..exceptions import InvalidParameterError, UnknownAlgorithmError
-from ..types import Schedule, ensure_warmup
+from ..types import Schedule, ensure_integer, ensure_warmup
 from .base import BackendDiagnostic, EngineResult, RunSpec, get_backend
 from .instrumentation import Instrumentation
 
@@ -120,6 +122,10 @@ def run(
         non-reference backend is recorded as a
         :class:`~repro.engine.base.BackendDiagnostic` on the result of
         a transparent reference re-execution.  ``False`` propagates.
+        Invalid parameters (a replica count outside 1..5, node faults
+        without a replica set, a fault naming a missing replica) are
+        never contained: they raise
+        :class:`~repro.exceptions.InvalidParameterError`.
 
     Returns
     -------
@@ -129,6 +135,7 @@ def run(
     """
     instance, name = _resolve_algorithm(algorithm)
     warmup = ensure_warmup(warmup, len(schedule))
+    replicas = ensure_integer(replicas, "replicas")
 
     if faults is not None or replicas != 1:
         what = "fault injection" if faults is not None else "a replica set"
@@ -191,6 +198,8 @@ def run(
     started = time.perf_counter()
     try:
         result = chosen.execute(spec, instruments)
+    except InvalidParameterError:
+        raise
     except Exception as error:
         if not fallback or chosen.name == "reference":
             raise

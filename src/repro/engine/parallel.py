@@ -57,7 +57,7 @@ import numpy as np
 from .._version import __version__
 from ..costmodels.base import CostEventKind, CostModel
 from ..exceptions import InvalidParameterError
-from ..types import Operation, Request, Schedule
+from ..types import Operation, Request, Schedule, ensure_integer
 from ..workload.poisson import bernoulli_mask, bernoulli_schedule
 from ..workload.seeding import SeedLike, seed_fingerprint
 from ..core.packed import pack_write_masks
@@ -228,6 +228,7 @@ class EngineTask:
                 "instance cannot be content-addressed or cheaply shipped "
                 f"to a worker); got {self.algorithm!r}"
             )
+        ensure_integer(self.replicas, "replicas")
 
 
 @dataclass(frozen=True)

@@ -198,6 +198,17 @@ _SPEC_KEYS = {
 }
 
 
+def _number(text: str, key: str, kind: type = float):
+    """``kind(text)``, or an :class:`InvalidParameterError` naming ``key``."""
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise InvalidParameterError(
+            f"fault spec key {key!r} wants {what}, got {text!r}"
+        ) from None
+
+
 def _split_at(value: str, key: str) -> Tuple[str, str]:
     head, sep, tail = value.partition("@")
     if not sep:
@@ -213,7 +224,7 @@ def _parse_window(text: str, key: str) -> Tuple[float, float]:
         raise InvalidParameterError(
             f"{key} wants a START..END window, got {text!r}"
         )
-    return float(start), float(end)
+    return _number(start, key), _number(end, key)
 
 
 def _parse_group(text: str, key: str) -> Tuple[int, ...]:
@@ -261,16 +272,16 @@ def parse_fault_spec(text: str) -> FaultConfig:
                 raise InvalidParameterError(
                     f"disconnect wants START:DURATION, got {value!r}"
                 )
-            episodes.append((float(start), float(duration)))
+            episodes.append((_number(start, key), _number(duration, key)))
             continue
         if key == "crash":
             who, when = _split_at(value, "crash")
-            crashes.append((int(who), float(when)))
+            crashes.append((_number(who, key, int), _number(when, key)))
             continue
         if key == "pause":
             who, when = _split_at(value, "pause")
             start, end = _parse_window(when, "pause")
-            pauses.append((int(who), start, end))
+            pauses.append((_number(who, key, int), start, end))
             continue
         if key == "partition":
             groups, when = _split_at(value, "partition")
@@ -289,8 +300,8 @@ def parse_fault_spec(text: str) -> FaultConfig:
             continue
         if key == "kills":
             count, horizon = _split_at(value, "kills")
-            kwargs["primary_kills"] = int(count)
-            kwargs["kill_horizon"] = float(horizon)
+            kwargs["primary_kills"] = _number(count, key, int)
+            kwargs["kill_horizon"] = _number(horizon, key)
             continue
         field = _SPEC_KEYS.get(key)
         if field is None:
@@ -299,7 +310,7 @@ def parse_fault_spec(text: str) -> FaultConfig:
                 f"known: {sorted(_SPEC_KEYS)}, 'disconnect', 'crash', "
                 "'pause', 'partition', 'kills'"
             )
-        kwargs[field] = int(value) if field == "seed" else float(value)
+        kwargs[field] = _number(value, key, int if field == "seed" else float)
     kwargs["episodes"] = tuple(episodes)
     kwargs["crashes"] = tuple(crashes)
     kwargs["pauses"] = tuple(pauses)

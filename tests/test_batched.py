@@ -345,9 +345,6 @@ WARMUP_ENTRY_POINTS = {
     "scan_window_counts": lambda warmup: scan_window_counts(
         BOUNDARY_WRITES, [3], warmup=warmup
     ),
-    "scan_window_counts_packed": lambda warmup: scan_window_counts(
-        pack_write_masks(BOUNDARY_WRITES), [3], warmup=warmup
-    ),
     "scan_threshold_counts": lambda warmup: scan_threshold_counts(
         "t1", BOUNDARY_WRITES, [2], warmup=warmup
     ),

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -74,6 +79,18 @@ class TestCommands:
     def test_simulate_rejects_bad_replica_count(self, capsys):
         assert main(["simulate", "sw3", "--length", "100",
                      "--replicas", "7"]) == 2
+
+    def test_simulate_crash_without_replica_set_exits_nonzero(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "simulate", "sw3",
+             "--length", "60", "--faults", "crash=0@5"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert completed.returncode != 0
+        assert "InvalidParameterError" in completed.stderr
+        assert "replica set" in completed.stderr
 
     def test_simulate_deterministic_with_seed(self, capsys):
         main(["simulate", "st1", "--length", "500", "--seed", "9"])

@@ -27,17 +27,21 @@ from repro.engine import (
     BatchedBackend,
     CounterInstrumentation,
     EngineResult,
+    EngineTask,
     Instrumentation,
+    ScheduleSpec,
     TraceInstrumentation,
     available_backends,
     get_backend,
     run,
+    serial_executor,
     total_from_counts,
     value_for_write,
     wants_per_request,
 )
 from repro.engine.versioning import INITIAL_VALUE, INITIAL_VERSION
 from repro.exceptions import InvalidParameterError, UnknownAlgorithmError
+from repro.sim.faults import parse_fault_spec
 from repro.types import Schedule
 
 MODEL = ConnectionCostModel()
@@ -114,6 +118,36 @@ class TestDispatch:
     def test_string_names_normalized(self):
         result = run("  SW9 ", Schedule.from_string("rw"), MODEL)
         assert result.algorithm_name == "sw9"
+
+
+#: Replica and fault requests the protocol backend refuses; each is a
+#: caller error, never a reason to fall back to a fault-free reference.
+INVALID_WIRE_REQUESTS = {
+    "replicas=7": dict(replicas=7),
+    "replicas=0": dict(replicas=0),
+    "replicas=2.5": dict(replicas=2.5),
+    "replicas=True": dict(replicas=True),
+    "crash without a replica set": dict(faults=parse_fault_spec("crash=0@5")),
+    "crash of a missing replica": dict(
+        faults=parse_fault_spec("crash=9@5"), replicas=3
+    ),
+}
+
+
+class TestInvalidWireRequests:
+    @pytest.mark.parametrize("name", sorted(INVALID_WIRE_REQUESTS))
+    def test_engine_run_raises(self, name):
+        with pytest.raises(InvalidParameterError):
+            run("sw3", Schedule.from_string("rwrrw" * 12), MODEL,
+                **INVALID_WIRE_REQUESTS[name])
+
+    @pytest.mark.parametrize("name", sorted(INVALID_WIRE_REQUESTS))
+    def test_sweep_executor_raises(self, name):
+        with pytest.raises(InvalidParameterError):
+            serial_executor().map([EngineTask(
+                "sw3", ScheduleSpec(0.3, 60, seed=1), MODEL,
+                **INVALID_WIRE_REQUESTS[name],
+            )])
 
 
 class TestEquivalenceWithReplay:

@@ -4,10 +4,10 @@ The contract, hypothesis-swept: a :class:`~repro.core.packed.PackedMasks`
 input fed through any thread count and any tile size produces the same
 bytes — counts, totals, flips, materialized events — as the unpacked
 bool matrix on one thread, for every algorithm family the batched
-kernels cover and for all three parameter scans.  Thread counts and
-tile heights are forced through the scheduler's private budget, since
-small test grids would otherwise always run serially.  Plus unit
-coverage of the packbits layout (roundtrip, footprint, validators), the
+kernels cover.  Thread counts and tile heights are forced through the
+scheduler's private budget, since small test grids would otherwise
+always run serially.  Plus unit coverage of the packbits layout
+(roundtrip, footprint, validators), the packed prefix sum, the
 int32→int64 accumulator promotion guard and the default thread budget.
 """
 
@@ -25,8 +25,6 @@ import repro.engine.batched as batched_engine
 from repro.core.batched import (
     batched_counts,
     batched_run_arrays,
-    scan_threshold_counts,
-    scan_window_counts,
     stack_write_masks,
 )
 from repro.core.packed import (
@@ -98,20 +96,7 @@ class TestPackedLayout:
         assert packed.nbytes * 8 == writes.nbytes
         assert packed.nbytes <= writes.nbytes / 6
 
-    def test_pack_from_schedules_matches_stack(self):
-        schedules = [Schedule.from_string("rwrw"), Schedule.from_string("wwrr")]
-        packed = pack_write_masks(schedules)
-        np.testing.assert_array_equal(
-            packed.to_bool(), stack_write_masks(schedules)
-        )
-
-    def test_ragged_schedules_raise(self):
-        schedules = [Schedule.from_string("rw"), Schedule.from_string("rwr")]
-        with pytest.raises(InvalidParameterError, match="ragged"):
-            pack_write_masks(schedules)
-
     def test_empty_inputs(self):
-        assert pack_write_masks([]).shape == (0, 0)
         empty = pack_write_masks(np.empty((3, 0), dtype=bool))
         assert empty.shape == (3, 0)
         assert empty.to_bool().shape == (3, 0)
@@ -189,7 +174,7 @@ class TestByteIdentity:
     @pytest.mark.parametrize("algorithm_name", FAMILY_NAMES)
     def test_materialized_events_survive_packing(self, algorithm_name):
         schedules = [Schedule.from_string("rwrrwwrwrrrwr")] * 3
-        packed = pack_write_masks(schedules)
+        packed = pack_write_masks(stack_write_masks(schedules))
         results = _run_on(
             2, algorithm_name, packed, [MODEL] * 3, stream=False
         )
@@ -203,32 +188,6 @@ class TestByteIdentity:
 
 
 class TestPackedScans:
-    @given(texts=schedule_batches(max_rows=4, max_length=50),
-           warmup=st.integers(0, 6))
-    @settings(max_examples=15, deadline=None)
-    def test_window_scan_matches_unpacked(self, texts, warmup):
-        writes = _writes_from(texts)
-        warmup = min(warmup, writes.shape[1])
-        ks = [1, 3, 5, 9]
-        np.testing.assert_array_equal(
-            scan_window_counts(pack_write_masks(writes), ks, warmup),
-            scan_window_counts(writes, ks, warmup),
-        )
-
-    @given(texts=schedule_batches(max_rows=4, max_length=50),
-           warmup=st.integers(0, 6))
-    @settings(max_examples=15, deadline=None)
-    def test_threshold_scans_match_unpacked(self, texts, warmup):
-        writes = _writes_from(texts)
-        warmup = min(warmup, writes.shape[1])
-        packed = pack_write_masks(writes)
-        ms = [1, 2, 4]
-        for method in ("t1", "t2"):
-            np.testing.assert_array_equal(
-                scan_threshold_counts(method, packed, ms, warmup),
-                scan_threshold_counts(method, writes, ms, warmup),
-            )
-
     @given(texts=schedule_batches(max_rows=3, max_length=40))
     @settings(max_examples=10, deadline=None)
     def test_packed_cumulative_is_the_cumsum(self, texts):

@@ -277,6 +277,23 @@ class TestFaultConfig:
         with pytest.raises(InvalidParameterError):
             FaultConfig(primary_kills=1)  # needs a horizon
 
+    @pytest.mark.parametrize("spec, key", [
+        ("drop=abc", "drop"),
+        ("seed=x", "seed"),
+        ("seed=1.5", "seed"),
+        ("disconnect=a:1", "disconnect"),
+        ("crash=a@5", "crash"),
+        ("crash=0@x", "crash"),
+        ("pause=z@1..2", "pause"),
+        ("pause=0@1..x", "pause"),
+        ("partition=0|1@a..2", "partition"),
+        ("kills=q@5", "kills"),
+        ("kills=1@q", "kills"),
+    ])
+    def test_parse_fault_spec_names_the_bad_number(self, spec, key):
+        with pytest.raises(InvalidParameterError, match=repr(key)):
+            parse_fault_spec(spec)
+
     def test_node_and_frame_fault_flags_are_disjoint(self):
         frame = FaultConfig(drop=0.1)
         node = FaultConfig(crashes=((0, 1.0),))
