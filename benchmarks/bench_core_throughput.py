@@ -3,7 +3,7 @@
 Not a paper artifact — these quantify the library's own costs so a
 downstream user knows what replaying millions of requests costs:
 abstract replay per algorithm, the offline DP, the protocol simulator,
-and the two window-bookkeeping variants (the DESIGN.md ablation).
+and the session core's per-request ``feed``.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import OfflineOptimal, make_algorithm, replay
-from repro.core.sliding_window import RequestWindow
+from repro.core.session import AllocationSession
 from repro.costmodels import ConnectionCostModel
 from repro.sim import simulate_protocol
 from repro.types import Operation
@@ -43,32 +43,23 @@ def test_protocol_simulation_throughput(benchmark):
     assert len(result.event_kinds) == len(schedule)
 
 
-def _slide_incremental(window, operations):
-    for operation in operations:
-        window.slide(operation)
-        _ = window.write_count
-
-
-def _slide_with_recount(window, operations):
-    for operation in operations:
-        window.slide(operation)
-        _ = window.recount()
-
-
 _OPS = [
     Operation.WRITE if bit else Operation.READ
     for bit in np.random.default_rng(2).integers(0, 2, 5_000)
 ]
 
 
-def test_window_incremental_count(benchmark):
-    window = RequestWindow.all_writes(99)
-    benchmark(lambda: _slide_incremental(window, _OPS))
+def _feed_all(session, operations):
+    for operation in operations:
+        session.feed(operation)
 
 
-def test_window_recount_ablation(benchmark):
-    window = RequestWindow.all_writes(99)
-    benchmark(lambda: _slide_with_recount(window, _OPS))
+@pytest.mark.parametrize("name", ["sw99", "t1_15"])
+def test_session_feed_throughput(benchmark, name):
+    """One session's shift-and-rule step; SWk pays a carry popcount."""
+    session = AllocationSession.from_name(name)
+    benchmark(lambda: _feed_all(session, _OPS))
+    assert session.carry_bits().shape == (session.spec.carry_length,)
 
 
 def test_batched_replay_throughput(benchmark):

@@ -12,12 +12,17 @@ write fraction.  :class:`AdaptiveAllocator` closes that loop online:
   and :func:`repro.core.batched.scan_threshold_counts`) — the *oracle*:
   one numpy pass prices every candidate k and m on the observed regime
   and the cheapest configuration wins;
-* the decision core then follows the winning configuration's exact
-  session semantics (the SWk window recurrence or the T1m read-run
-  counter), so each individual decision is one the paper's methods
-  could have made — cost accounting carries over verbatim and a
-  configuration switch never teleports the replica, it only changes
-  the rule used for future transitions.
+* the decision core is an :class:`~repro.core.session.AllocationSession`
+  for the winning configuration, so each individual decision is one
+  the paper's methods could have made and the SWk/T1m rules exist only
+  in the session module.  The history is the same encoding as the
+  session's state — write bits in an ``int``, newest in bit 0, plus an
+  observed length — so adopting a new configuration re-seeds its
+  session with the pre-request carry (the history's last L bits,
+  padded with writes) and the current copy bit, then feeds the
+  request.  Cost accounting carries over verbatim and a configuration
+  switch never teleports the replica; it only changes the rule used
+  for future transitions.
 
 The allocator runs under the standard
 :class:`~repro.core.base.AllocationAlgorithm` interface (reference
@@ -28,17 +33,21 @@ the regret harness — applies unchanged.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Deque, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..costmodels.base import CostEventKind, CostModel
 from ..exceptions import InvalidParameterError
-from ..types import AllocationScheme, Operation, ensure_odd_window
+from ..types import (
+    AllocationScheme,
+    Operation,
+    ensure_integer,
+    ensure_odd_window,
+)
 from .base import AllocationAlgorithm
 from .batched import batched_totals, scan_threshold_counts, scan_window_counts
-from .session import ensure_threshold
+from .session import AlgorithmSpec, AllocationSession, ensure_threshold
 
 __all__ = ["AdaptiveAllocator", "OnlineThetaEstimator"]
 
@@ -53,70 +62,74 @@ DEFAULT_MS: Tuple[int, ...] = (1, 2, 4, 8)
 class OnlineThetaEstimator:
     """Windowed θ estimate plus a two-window regime-change test.
 
-    Keeps the last ``2 * window`` write bits; the estimate is the mean
-    of the most recent ``window`` and a regime change is declared when
-    the recent and the preceding window means differ by more than
-    ``threshold`` (both windows must be full).  After a detection the
-    stale half is dropped, so back-to-back firings need genuinely new
-    evidence — a crude but dependable CUSUM stand-in that is exact to
-    test and cheap to run per request.
+    Keeps the last ``2 * window`` write bits in an ``int`` (newest in
+    bit 0); the estimate is the mean of the most recent ``window`` and
+    a regime change is declared when the recent and the preceding
+    window means differ by more than ``threshold`` (both windows must
+    be full).  After a detection the stale half is dropped, so
+    back-to-back firings need genuinely new evidence — a crude but
+    dependable CUSUM stand-in that is exact to test and cheap to run
+    per request.
+
+    The two window sums are popcounts of the int's halves.  Per
+    request they are kept current from the bits that cross each
+    half's boundary: ``bin(x).count("1")`` (the popcount that runs on
+    Python 3.9, where ``int.bit_count`` is missing) would cost two
+    string conversions a request.
     """
 
     def __init__(self, window: int = 48, threshold: float = 0.35):
+        window = ensure_integer(window, "window")
         if window < 1:
             raise InvalidParameterError(f"window must be >= 1, got {window}")
         if not 0.0 < threshold <= 1.0:
             raise InvalidParameterError(
                 f"threshold must be in (0, 1], got {threshold!r}"
             )
-        self.window = int(window)
+        self.window = window
         self.threshold = float(threshold)
-        self._bits: Deque[bool] = deque(maxlen=2 * self.window)
-        self._recent_writes = 0
-        self._older_writes = 0
+        self._full_mask = (1 << 2 * window) - 1
+        self.reset()
 
     @property
     def observations(self) -> int:
-        return len(self._bits)
+        return self._observed
 
     @property
     def estimate(self) -> float:
         """Mean of the most recent window (0.5 before any evidence)."""
-        recent = min(len(self._bits), self.window)
+        recent = min(self._observed, self.window)
         if recent == 0:
             return 0.5
         return self._recent_writes / recent
 
     def observe(self, is_write: bool) -> bool:
         """Ingest one request; True when a regime change is declared."""
-        bits = self._bits
-        if len(bits) == 2 * self.window:
-            if bits[0]:
-                self._older_writes -= 1
-        if len(bits) >= self.window:
-            boundary = bits[len(bits) - self.window]
-            if boundary:
-                self._recent_writes -= 1
-                self._older_writes += 1
-        bits.append(bool(is_write))
-        if is_write:
-            self._recent_writes += 1
-        if len(bits) < 2 * self.window:
-            return False
-        recent = self._recent_writes / self.window
-        older = self._older_writes / self.window
+        window = self.window
+        write = 1 if is_write else 0
+        bits = self._bits << 1 | write
+        crossing = bits >> window & 1  # leaves the recent half
+        self._recent_writes += write - crossing
+        self._older_writes += crossing - (bits >> 2 * window & 1)
+        self._bits = bits & self._full_mask
+        if self._observed < 2 * window:
+            self._observed += 1
+            if self._observed < 2 * window:
+                return False
+        recent = self._recent_writes / window
+        older = self._older_writes / window
         if abs(recent - older) <= self.threshold:
             return False
         # Drop the stale half so the detector re-arms on fresh data.
-        for _ in range(self.window):
-            removed = bits.popleft()
-            if removed:
-                self._older_writes -= 1
+        self._bits &= (1 << window) - 1
+        self._observed = window
+        self._older_writes = 0
         return True
 
     def reset(self) -> None:
         """Forget all observations and disarm the detector."""
-        self._bits.clear()
+        self._bits = 0
+        self._observed = 0
         self._recent_writes = 0
         self._older_writes = 0
 
@@ -160,10 +173,12 @@ class AdaptiveAllocator(AllocationAlgorithm):
         ms = tuple(ensure_threshold(m) for m in ms)
         if not ks:
             raise InvalidParameterError("need at least one candidate k")
+        retune_interval = ensure_integer(retune_interval, "retune_interval")
         if retune_interval < 1:
             raise InvalidParameterError(
                 f"retune_interval must be >= 1, got {retune_interval}"
             )
+        history = ensure_integer(history, "history")
         if history < max(ks + ms):
             raise InvalidParameterError(
                 f"history ({history}) must cover the largest candidate "
@@ -176,9 +191,12 @@ class AdaptiveAllocator(AllocationAlgorithm):
         self._ks = ks
         self._ms = ms
         self._oracle_model = oracle_model
-        self._retune_interval = int(retune_interval)
-        self._history_cap = int(history)
-        self._detector_window = int(detector_window)
+        self._retune_interval = retune_interval
+        self._history_cap = history
+        self._history_mask = (1 << history) - 1
+        self._detector_window = ensure_integer(
+            detector_window, "detector_window"
+        )
         self._detector_threshold = float(detector_threshold)
         self._init_state()
         super().__init__(initial_scheme=AllocationScheme.ONE_COPY)
@@ -197,12 +215,12 @@ class AdaptiveAllocator(AllocationAlgorithm):
     @property
     def family(self) -> str:
         """Decision family currently in force (``"swk"`` or ``"t1"``)."""
-        return self._family
+        return self._session.spec.family
 
     @property
     def param(self) -> int:
         """The active window size or threshold."""
-        return self._param
+        return self._session.spec.param
 
     @property
     def theta_estimate(self) -> float:
@@ -221,14 +239,16 @@ class AdaptiveAllocator(AllocationAlgorithm):
     # -- state ----------------------------------------------------------
 
     def _init_state(self) -> None:
-        self._family = "swk"
-        self._param = self._ks[len(self._ks) // 2]
+        self._session = AllocationSession(
+            AlgorithmSpec("swk", self._ks[len(self._ks) // 2])
+        )
         self._estimator = OnlineThetaEstimator(
             self._detector_window, self._detector_threshold
         )
-        self._history: Deque[bool] = deque(maxlen=self._history_cap)
+        # Write bits, newest in bit 0; only the low `_observed` are real.
+        self._history = 0
+        self._observed = 0
         self._since_retune = 0
-        self._read_run = 0
         self._retunes = 0
         self._regime_changes = 0
 
@@ -247,54 +267,31 @@ class AdaptiveAllocator(AllocationAlgorithm):
         )
 
     def _extra_state_signature(self) -> tuple:
+        spec = self._session.spec
         return (
-            self._family,
-            self._param,
-            self._read_run,
-            tuple(self._history),
-            self._since_retune,
+            (spec.family, spec.param)
+            + self._session.extra_signature()
+            + (self._history, self._observed, self._since_retune)
         )
 
     # -- the oracle ------------------------------------------------------
 
-    def _window_write_count(self, k: int) -> int:
-        """Writes in the last-k window, short history padded with writes.
-
-        The padding convention matches a fresh SWk session (window all
-        writes) and the batched kernels' virtual-write lead-in, so the
-        count is exactly what an SWk session holding this history would
-        hold in its ring buffer.
-        """
-        history = self._history
-        observed = min(len(history), k)
-        writes = 0
-        for position in range(len(history) - observed, len(history)):
-            if history[position]:
-                writes += 1
-        return writes + (k - observed)
-
-    def _trailing_read_run(self) -> int:
-        run = 0
-        for bit in reversed(self._history):
-            if bit:
-                break
-            run += 1
-        return run
-
-    def _retune(self) -> None:
-        """Price every candidate on the regime history; adopt the argmin.
+    def _retune(self) -> Optional[AlgorithmSpec]:
+        """Price every candidate on the regime history; return a new argmin.
 
         One ``(1, N)`` write matrix through the two sufficient-statistic
         scans prices all k and all m at once; ties prefer the incumbent
-        (no churn), then the smaller parameter (faster adaptation).
+        (no churn, returns ``None``), then the smaller parameter (faster
+        adaptation).
         """
         self._since_retune = 0
         self._retunes += 1
-        if len(self._history) < 2:
-            return
-        writes = np.fromiter(
-            self._history, dtype=bool, count=len(self._history)
-        )[None, :]
+        observed = self._observed
+        if observed < 2:
+            return None
+        packed = self._history.to_bytes((observed + 7) // 8, "big")
+        writes = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))
+        writes = writes[-observed:].astype(bool)[None, :]
         candidates = []
         k_counts = scan_window_counts(writes, self._ks)
         k_totals = batched_totals(k_counts, self._oracle_model)
@@ -311,80 +308,50 @@ class AdaptiveAllocator(AllocationAlgorithm):
             for cost, family, param in candidates
             if cost <= best_cost
         ]
-        if (self._family, self._param) in best:
-            return
+        if (self.family, self.param) in best:
+            return None
         family, param = min(best, key=lambda pair: (pair[0] != "swk", pair[1]))
-        self._adopt(family, param)
-
-    def _adopt(self, family: str, param: int) -> None:
-        self._family = family
-        self._param = param
-        if family == "t1":
-            # Resume the threshold rule mid-run: credit the trailing
-            # read run (clipped at m; with the copy held the counter
-            # is irrelevant and stays 0).
-            self._read_run = (
-                0 if self._mobile_has_copy
-                else min(self._trailing_read_run(), param)
-            )
-
-    def _observe(self, operation: Operation) -> None:
-        is_write = operation is Operation.WRITE
-        changed = self._estimator.observe(is_write)
-        self._history.append(is_write)
-        self._since_retune += 1
-        if changed:
-            # New regime: forget the old one and retune on what the
-            # detector kept (the fresh window).
-            self._regime_changes += 1
-            recent = list(self._history)[-self._detector_window:]
-            self._history.clear()
-            self._history.extend(recent)
-            self._retune()
-        elif self._since_retune >= self._retune_interval:
-            self._retune()
+        return AlgorithmSpec(family, param)
 
     # -- the decision core ----------------------------------------------
 
+    def _serve(self, operation: Operation, write: int) -> CostEventKind:
+        history, observed = self._history, self._observed
+        self._history = (history << 1 | write) & self._history_mask
+        if observed < self._history_cap:
+            self._observed = observed + 1
+        self._since_retune += 1
+        if self._estimator.observe(write):
+            # New regime: forget the old one and retune on what the
+            # detector kept (the fresh window).
+            self._regime_changes += 1
+            self._history &= (1 << self._detector_window) - 1
+            self._observed = min(self._observed, self._detector_window)
+            adopted = self._retune()
+        elif self._since_retune >= self._retune_interval:
+            adopted = self._retune()
+        else:
+            adopted = None
+        if adopted is not None:
+            # Resume the new rule from the state it would hold had it
+            # served the history so far: the last L bits before this
+            # request (a short history padded with writes, as a fresh
+            # session's), and the replica as it stands.
+            length = adopted.carry_length
+            real = (1 << min(observed, length)) - 1
+            carry = history & real | ((1 << length) - 1) & ~real
+            self._session = AllocationSession(
+                adopted, seed=(carry, self._mobile_has_copy)
+            )
+        decision = self._session.feed(operation)
+        self._mobile_has_copy = decision.mobile_has_copy
+        return decision.kind
+
     def _serve_read(self) -> CostEventKind:
-        had_copy = self._mobile_has_copy
-        self._observe(Operation.READ)
-        if self._family == "swk":
-            if had_copy:
-                return CostEventKind.LOCAL_READ
-            k = self._param
-            writes = self._window_write_count(k)
-            if k - writes > writes:  # window majority flipped to reads
-                self._allocate()
-                return CostEventKind.REMOTE_READ
-            return CostEventKind.REMOTE_READ
-        # t1
-        if had_copy:
-            return CostEventKind.LOCAL_READ
-        self._read_run += 1
-        if self._read_run >= self._param:
-            self._allocate()
-            self._read_run = 0
-        return CostEventKind.REMOTE_READ
+        return self._serve(Operation.READ, 0)
 
     def _serve_write(self) -> CostEventKind:
-        had_copy = self._mobile_has_copy
-        self._observe(Operation.WRITE)
-        if self._family == "swk":
-            if not had_copy:
-                return CostEventKind.WRITE_NO_COPY
-            k = self._param
-            writes = self._window_write_count(k)
-            if k - writes > writes:  # reads still hold the majority
-                return CostEventKind.WRITE_PROPAGATED
-            self._deallocate()
-            return CostEventKind.WRITE_PROPAGATED_DEALLOCATE
-        # t1
-        self._read_run = 0
-        if not had_copy:
-            return CostEventKind.WRITE_NO_COPY
-        self._deallocate()
-        return CostEventKind.WRITE_DELETE_REQUEST
+        return self._serve(Operation.WRITE, 1)
 
     def describe(self) -> str:
         return (

@@ -33,9 +33,14 @@ from __future__ import annotations
 
 from ..costmodels.base import CostEventKind
 from ..exceptions import InvalidParameterError
-from ..types import AllocationScheme, Operation, ensure_odd_window
+from ..types import (
+    AllocationScheme,
+    Operation,
+    ensure_integer,
+    ensure_odd_window,
+)
 from .base import AllocationAlgorithm
-from .sliding_window import RequestWindow
+from .session import popcount, window_operations
 
 __all__ = ["EwmaAllocator", "HysteresisSlidingWindow"]
 
@@ -158,12 +163,15 @@ class HysteresisSlidingWindow(AllocationAlgorithm):
 
     def __init__(self, k: int, margin: int = 0):
         self._k = ensure_odd_window(k)
-        if not 0 <= margin < k:
+        margin = ensure_integer(margin, "margin")
+        if not 0 <= margin < self._k:
             raise InvalidParameterError(
                 f"margin must satisfy 0 <= margin < k, got {margin!r}"
             )
-        self._margin = int(margin)
-        self._window = RequestWindow.all_writes(self._k)
+        self._margin = margin
+        self._mask = (1 << self._k) - 1
+        # The last k request bits, newest in bit 0; starts all writes.
+        self._window = self._mask
         super().__init__(initial_scheme=AllocationScheme.ONE_COPY)
         self.name = f"hsw{self._k}_{self._margin}"
 
@@ -175,37 +183,36 @@ class HysteresisSlidingWindow(AllocationAlgorithm):
     def margin(self) -> int:
         return self._margin
 
-    def _imbalance(self) -> int:
-        """reads - writes in the window."""
-        return self._window.read_count - self._window.write_count
+    def _slide(self, write: int) -> int:
+        """Shift one request into the window; returns reads - writes."""
+        self._window = (self._window << 1 | write) & self._mask
+        return self._k - 2 * popcount(self._window)
 
     def _serve_read(self) -> CostEventKind:
-        had_copy = self.mobile_has_copy
-        self._window.slide(Operation.READ)
-        if had_copy:
+        imbalance = self._slide(0)
+        if self.mobile_has_copy:
             return CostEventKind.LOCAL_READ
-        if self._imbalance() > self._margin:
+        if imbalance > self._margin:
             self._allocate()
         return CostEventKind.REMOTE_READ
 
     def _serve_write(self) -> CostEventKind:
-        had_copy = self.mobile_has_copy
-        self._window.slide(Operation.WRITE)
-        if not had_copy:
+        imbalance = self._slide(1)
+        if not self.mobile_has_copy:
             return CostEventKind.WRITE_NO_COPY
-        if self._imbalance() >= -self._margin:
+        if imbalance >= -self._margin:
             return CostEventKind.WRITE_PROPAGATED
         self._deallocate()
         return CostEventKind.WRITE_PROPAGATED_DEALLOCATE
 
     def _reset_extra_state(self) -> None:
-        self._window = RequestWindow.all_writes(self._k)
+        self._window = self._mask
 
     def _configured_copy(self) -> "HysteresisSlidingWindow":
         return HysteresisSlidingWindow(self._k, self._margin)
 
     def _extra_state_signature(self) -> tuple:
-        return self._window.contents()
+        return window_operations(self._window, self._k)
 
     def describe(self) -> str:
         return (

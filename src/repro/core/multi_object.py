@@ -317,10 +317,6 @@ class WindowedMultiObjectAllocator:
     def allocation(self) -> Allocation:
         return dict(self._allocation)
 
-    @property
-    def window_contents(self) -> Tuple[OperationClass, ...]:
-        return tuple(self._window)
-
     def process(self, request: Request) -> float:
         """Serve one multi-object request; returns its charge."""
         if not request.objects:

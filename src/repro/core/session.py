@@ -1,35 +1,41 @@
 """Incremental allocation sessions: one decision core, many hosts.
 
-Historically the ST/SW/T decision rules existed in three disconnected
-representations: the per-schedule online algorithms of this package,
-the message-driven protocol deciders of :mod:`repro.sim.policies`, and
-the closed-form batched kernels of :mod:`repro.core.batched`.  Anything
-that wanted to host *many live allocation state machines* — the
-multi-tenant allocation service of :mod:`repro.service` — would have
-needed a fourth copy of the rules.
+The ST/SW/T decision rules are hosted by the per-schedule online
+algorithms of this package, the message-driven protocol deciders of
+:mod:`repro.sim.policies`, the adaptive allocator of
+:mod:`repro.core.adaptive` and the sharded allocation service of
+:mod:`repro.service`.  This module is their single incremental core.
 
-This module is the single incremental core.  An
-:class:`AllocationSession` is one live state machine for one
-(client, object) pair: ``feed(op)`` consumes a relevant request in O(1)
-(a window ring buffer for SWk, a run-length counter for T1m/T2m,
-nothing for the static methods and SW1) and returns a
-:class:`Decision` — the classified cost event plus the allocation
-transition.  The session's decision sequence is byte-identical to
+An :class:`AllocationSession` is one live state machine for one
+(client, object) pair.  Its whole decision state is one encoding: the
+*carry*, the last L request bits as an ``int`` (1 = write, the newest
+request in bit 0, a shorter history padded per
+:attr:`AlgorithmSpec.carry_fill`), plus the copy bit.  Section 4 of
+the paper defines the SWk window as exactly such a bit sequence, and
+the §7.1 threshold rules depend only on the current run.
+``feed(op)`` shifts the request's bit into the carry and applies the
+family rule — SWk's majority is a popcount of the carry, T1m allocates
+when its m bits are all reads, T2m deallocates when they are all
+writes — and returns one of a few interned :class:`Decision`
+constants: the classified cost event plus the allocation transition.
+The session's decision sequence is byte-identical to
 :meth:`repro.core.base.AllocationAlgorithm.process` and, therefore, to
-every engine backend; the adapters in :mod:`repro.core.static`,
-:mod:`repro.core.sliding_window`, :mod:`repro.core.threshold` and
-:mod:`repro.sim.policies` delegate to a session instead of keeping
-their own window/threshold bookkeeping.
+every engine backend.
 
-For bulk hosts the session also exposes its *carry encoding*:
-:meth:`AllocationSession.carry_bits` is a write-bit vector of fixed
-per-family length L such that running the (stateless) batched kernels
-on ``[carry | chunk]`` and discarding the first L outputs classifies
-``chunk`` exactly as feeding it op-by-op would — and the last L bits of
-``[carry | chunk]`` are the next carry.  The family-by-family argument:
+The same ``(carry, copy)`` pair is what the service keeps in its
+``carry``/``copy`` columns, what the SWk protocol deciders hand across
+the wire when charge moves between the computers, and what the
+adaptive allocator re-seeds a session from when it switches
+configuration.  :meth:`AllocationSession.carry_bits` unpacks it for
+the kernels: running the (stateless) batched kernels on
+``[carry | chunk]`` and discarding the first L outputs classifies
+``chunk`` exactly as feeding it op-by-op would — and the last L bits
+of ``[carry | chunk]`` are the next carry.  The family-by-family
+argument:
 
 * ST1/ST2 are stateless (L = 0).
-* SW1's scheme is "last request was a read" (L = 1).
+* SW1's scheme is "last request was a read" (L = 1); its rule is T1m's
+  with m = 1.
 * SWk classifies from the window of the last k requests; a fresh
   session's all-writes window is exactly the kernels' virtual-write
   convention for the first k positions, so left-padding a short
@@ -47,9 +53,8 @@ on ``[carry | chunk]`` and discarding the first L outputs classifies
 from __future__ import annotations
 
 import re
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Iterable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -66,9 +71,10 @@ __all__ = [
     "AlgorithmSpec",
     "AllocationSession",
     "Decision",
-    "RequestWindow",
     "ensure_threshold",
     "parse_algorithm_name",
+    "popcount",
+    "window_operations",
 ]
 
 _SW_PATTERN = re.compile(r"^sw(\d+)$")
@@ -82,87 +88,6 @@ def ensure_threshold(m: int) -> int:
     if m < 1:
         raise InvalidParameterError(f"threshold m must be >= 1, got {m}")
     return m
-
-
-class RequestWindow:
-    """A fixed-size window over the last ``k`` relevant requests.
-
-    The window is conceptually a sequence of ``k`` bits (section 4: "0
-    represents a read and 1 represents a write").  We keep the bits in
-    a deque plus an incrementally-maintained write count, so a slide is
-    O(1) instead of O(k).  ``recount()`` recomputes the count from the
-    raw bits; the ablation benchmark uses it to quantify what the
-    incremental counter buys.
-    """
-
-    __slots__ = ("_bits", "_write_count", "_k")
-
-    def __init__(self, k: int, initial: Iterable[Operation]):
-        self._k = ensure_odd_window(k)
-        bits: Deque[bool] = deque(maxlen=self._k)
-        for operation in initial:
-            bits.append(operation is Operation.WRITE)
-        if len(bits) != self._k:
-            raise InvalidParameterError(
-                f"initial window must contain exactly k={self._k} operations, "
-                f"got {len(bits)}"
-            )
-        self._bits = bits
-        self._write_count = sum(bits)
-
-    @classmethod
-    def all_reads(cls, k: int) -> "RequestWindow":
-        return cls(k, [Operation.READ] * k)
-
-    @classmethod
-    def all_writes(cls, k: int) -> "RequestWindow":
-        return cls(k, [Operation.WRITE] * k)
-
-    @property
-    def size(self) -> int:
-        return self._k
-
-    @property
-    def write_count(self) -> int:
-        return self._write_count
-
-    @property
-    def read_count(self) -> int:
-        return self._k - self._write_count
-
-    @property
-    def majority_reads(self) -> bool:
-        """True iff reads strictly outnumber writes (k odd → never a tie)."""
-        return self.read_count > self._write_count
-
-    def slide(self, operation: Operation) -> None:
-        """Drop the oldest request and append the newest."""
-        is_write = operation is Operation.WRITE
-        oldest_was_write = self._bits[0]
-        self._bits.append(is_write)  # maxlen evicts the oldest bit
-        self._write_count += int(is_write) - int(oldest_was_write)
-
-    def recount(self) -> int:
-        """Recompute the write count from the raw bits (O(k) ablation path)."""
-        return sum(self._bits)
-
-    def contents(self) -> Tuple[Operation, ...]:
-        """Window contents, oldest first."""
-        return tuple(
-            Operation.WRITE if bit else Operation.READ for bit in self._bits
-        )
-
-    def write_bit_array(self) -> np.ndarray:
-        """The raw bits as a boolean array, oldest first."""
-        return np.fromiter(self._bits, dtype=bool, count=self._k)
-
-    def copy(self) -> "RequestWindow":
-        """An independent window with the same contents."""
-        return RequestWindow(self._k, self.contents())
-
-    def __repr__(self) -> str:
-        text = "".join("w" if bit else "r" for bit in self._bits)
-        return f"RequestWindow(k={self._k}, {text!r})"
 
 
 @dataclass(frozen=True)
@@ -275,60 +200,83 @@ class Decision:
     deallocated: bool = False
 
 
+# Every decision any family can make; ``feed`` returns these interned
+# constants instead of building a new Decision per request.
+_REMOTE_READ = Decision(CostEventKind.REMOTE_READ, False)
+_REMOTE_READ_ALLOCATE = Decision(
+    CostEventKind.REMOTE_READ, True, allocated=True
+)
+_LOCAL_READ = Decision(CostEventKind.LOCAL_READ, True)
+_WRITE_NO_COPY = Decision(CostEventKind.WRITE_NO_COPY, False)
+_WRITE_PROPAGATED = Decision(CostEventKind.WRITE_PROPAGATED, True)
+_WRITE_PROPAGATED_DEALLOCATE = Decision(
+    CostEventKind.WRITE_PROPAGATED_DEALLOCATE, False, deallocated=True
+)
+_WRITE_DELETE_REQUEST = Decision(
+    CostEventKind.WRITE_DELETE_REQUEST, False, deallocated=True
+)
+
+
+def popcount(bits: int) -> int:
+    """The number of set bits of a non-negative int.
+
+    ``int.bit_count`` would do, but it needs Python 3.10.
+    """
+    return bin(bits).count("1")
+
+
+def window_operations(window: int, k: int) -> Tuple[Operation, ...]:
+    """The low ``k`` bits of a window int as operations, oldest first."""
+    return tuple(
+        Operation.WRITE if window >> shift & 1 else Operation.READ
+        for shift in range(k - 1, -1, -1)
+    )
+
+
 class AllocationSession:
-    """One live allocation state machine with O(1) per-request state.
+    """One live allocation state machine: a carry int plus a copy bit.
 
-    Construction options mirror the adapters' needs:
-
-    ``initial_window``
-        SWk only — pre-load the window (e.g. a window adopted from the
-        other side of the protocol).  The initial scheme is the
-        window's majority, preserving the "scheme == window majority"
-        invariant.
-    ``initial_scheme``
-        SW1 only — the paper's k=1 window is implied by the scheme, so
-        the scheme itself is the whole state.
+    ``seed``
+        An optional ``(carry, copy)`` pair to start from instead of the
+        fresh state: ``carry`` holds the last L write bits (newest in
+        bit 0) and ``copy`` whether the MC holds a replica.  The
+        protocol deciders seed the side that takes charge from the
+        carry handed across the wire; the adaptive allocator seeds a
+        new configuration from its own history.
     """
 
-    __slots__ = ("_spec", "_family", "_has_copy", "_window", "_run")
+    __slots__ = ("_spec", "_rule", "_mask", "_carry", "_copy")
 
     def __init__(
         self,
         spec: AlgorithmSpec,
         *,
-        initial_window: Optional[Iterable[Operation]] = None,
-        initial_scheme: Optional[AllocationScheme] = None,
+        seed: Optional[Tuple[int, bool]] = None,
     ):
         if not isinstance(spec, AlgorithmSpec):
             raise InvalidParameterError(
                 f"expected an AlgorithmSpec, got {spec!r}"
             )
         self._spec = spec
-        self._family = spec.family
-        self._window: Optional[RequestWindow] = None
-        self._run = 0
-        if initial_window is not None and spec.family != "swk":
+        self._rule = _RULES[spec.family]
+        self._mask = (1 << spec.carry_length) - 1
+        if seed is None:
+            self._carry = self._mask if spec.carry_fill else 0
+            self._copy = spec.initial_mobile_has_copy
+            return
+        carry, copy = seed
+        carry = ensure_integer(carry, "seed carry")
+        if not 0 <= carry <= self._mask:
             raise InvalidParameterError(
-                f"initial_window is only meaningful for SWk, not {spec.name}"
+                f"seed carry {carry} does not fit in {spec.name}'s "
+                f"{spec.carry_length} carry bits"
             )
-        if initial_scheme is not None and spec.family != "sw1":
+        if not spec.carry_length and copy != spec.initial_mobile_has_copy:
             raise InvalidParameterError(
-                f"initial_scheme is only meaningful for SW1, not {spec.name}"
+                f"{spec.name} never changes its scheme; cannot seed copy={copy}"
             )
-        if spec.family == "swk":
-            if initial_window is None:
-                self._window = RequestWindow.all_writes(spec.param)
-            else:
-                self._window = RequestWindow(spec.param, initial_window)
-            self._has_copy = self._window.majority_reads
-        elif spec.family == "sw1":
-            self._has_copy = (
-                initial_scheme.mobile_has_copy
-                if initial_scheme is not None
-                else False
-            )
-        else:
-            self._has_copy = spec.initial_mobile_has_copy
+        self._carry = carry
+        self._copy = bool(copy)
 
     @classmethod
     def from_name(cls, name: str) -> "AllocationSession":
@@ -350,188 +298,162 @@ class AllocationSession:
 
     @property
     def mobile_has_copy(self) -> bool:
-        return self._has_copy
+        return self._copy
 
     @property
     def scheme(self) -> AllocationScheme:
-        if self._has_copy:
+        if self._copy:
             return AllocationScheme.TWO_COPIES
         return AllocationScheme.ONE_COPY
 
     @property
-    def window(self) -> Optional[RequestWindow]:
-        """The SWk request window (``None`` for windowless families)."""
-        return self._window
-
-    @property
-    def run_length(self) -> int:
-        """The T1m/T2m consecutive-run counter (0 otherwise)."""
-        return self._run
-
-    def window_contents(self) -> Optional[Tuple[Operation, ...]]:
-        """The SWk window contents, oldest first (``None`` otherwise)."""
-        if self._window is None:
-            return None
-        return self._window.contents()
-
-    def extra_signature(self) -> tuple:
-        """The family-specific part of the decision-relevant state."""
-        if self._family == "swk":
-            return self._window.contents()
-        if self._family in ("t1", "t2"):
-            return (self._run,)
-        return ()
-
-    def state_signature(self) -> tuple:
-        """Hashable snapshot of the full decision-relevant state."""
-        return (self._has_copy,) + self.extra_signature()
+    def carry(self) -> int:
+        """The last L write bits, newest in bit 0 (the seed's ``carry``)."""
+        return self._carry
 
     def carry_bits(self) -> np.ndarray:
-        """The current state as trailing-history write bits (length L).
+        """The carry unpacked into write bits, oldest first (length L).
 
         Feeding the batched kernels ``[carry | chunk]`` with
         ``warmup=L`` classifies ``chunk`` exactly as ``feed`` would,
         and ``[carry | chunk][-L:]`` is the next carry — the encoding
         the sharded service uses to drain sessions in bulk.
         """
-        spec = self._spec
-        if self._family == "swk":
-            return self._window.write_bit_array()
-        if self._family == "sw1":
-            return np.array([not self._has_copy], dtype=bool)
-        if self._family == "t1":
-            # No copy: a read run of length `run` (reads are False
-            # bits) directly preceded by the write that broke the
-            # previous run.  With the copy: reads are free and state-
-            # invariant, so any all-reads suffix of length m works.
-            bits = np.zeros(spec.param, dtype=bool)
-            if not self._has_copy:
-                bits[: spec.param - self._run] = True
-            return bits
-        if self._family == "t2":
-            # With the copy: a write run of length `run` preceded by
-            # the read that broke the previous one.  Without: the run
-            # reached m, so any all-writes suffix of length m works.
-            bits = np.ones(spec.param, dtype=bool)
-            if self._has_copy:
-                bits[: spec.param - self._run] = False
-            return bits
-        return np.empty(0, dtype=bool)
+        carry = self._carry
+        return np.array(
+            [carry >> shift & 1
+             for shift in range(self._spec.carry_length - 1, -1, -1)],
+            dtype=bool,
+        )
+
+    def extra_signature(self) -> tuple:
+        """The family-specific part of the decision-relevant state.
+
+        SWk reports its window as operations, oldest first; T1m/T2m
+        report the length of the run they are counting (reads while
+        T1m has no copy, writes while T2m holds it, else 0), which is
+        the trailing run of the carry.
+        """
+        family = self._spec.family
+        if family == "swk":
+            return window_operations(self._carry, self._spec.param)
+        if family not in ("t1", "t2"):
+            return ()
+        if self._copy != (family == "t2"):
+            return (0,)
+        # The bits that end the run: writes for T1m, reads for T2m.
+        stops = self._carry if family == "t1" else ~self._carry & self._mask
+        if not stops:
+            return (self._spec.param,)
+        return ((stops & -stops).bit_length() - 1,)
+
+    def state_signature(self) -> tuple:
+        """Hashable snapshot of the full decision-relevant state."""
+        return (self._copy,) + self.extra_signature()
 
     # -- the decision procedure ----------------------------------------
 
     def feed(self, operation: Operation) -> Decision:
-        """Serve one relevant request; O(1) state update."""
-        if operation is Operation.READ:
-            return self._feed_read()
+        """Serve one relevant request: shift it into the carry, decide."""
         if operation is Operation.WRITE:
-            return self._feed_write()
-        raise InvalidParameterError(f"unknown operation: {operation!r}")
-
-    def _feed_read(self) -> Decision:
-        family = self._family
-        if family == "st1":
-            return Decision(CostEventKind.REMOTE_READ, False)
-        if family == "st2":
-            return Decision(CostEventKind.LOCAL_READ, True)
-        if family == "sw1":
-            if self._has_copy:
-                return Decision(CostEventKind.LOCAL_READ, True)
-            # Remote read; the response piggybacks the copy (window = [r]).
-            self._has_copy = True
-            return Decision(CostEventKind.REMOTE_READ, True, allocated=True)
-        if family == "swk":
-            had_copy = self._has_copy
-            self._window.slide(Operation.READ)
-            if had_copy:
-                return Decision(CostEventKind.LOCAL_READ, True)
-            # The read goes remote; if it flipped the majority to
-            # reads, the SC piggybacks the copy + window (free).
-            if self._window.majority_reads:
-                self._has_copy = True
-                return Decision(
-                    CostEventKind.REMOTE_READ, True, allocated=True
-                )
-            return Decision(CostEventKind.REMOTE_READ, False)
-        if family == "t1":
-            if self._has_copy:
-                return Decision(CostEventKind.LOCAL_READ, True)
-            self._run += 1
-            if self._run >= self._spec.param:
-                # The m-th consecutive remote read piggybacks the copy.
-                self._has_copy = True
-                self._run = 0
-                return Decision(
-                    CostEventKind.REMOTE_READ, True, allocated=True
-                )
-            return Decision(CostEventKind.REMOTE_READ, False)
-        # t2
-        self._run = 0
-        if self._has_copy:
-            return Decision(CostEventKind.LOCAL_READ, True)
-        # First read after the write burst: re-acquire the replica.
-        self._has_copy = True
-        return Decision(CostEventKind.REMOTE_READ, True, allocated=True)
-
-    def _feed_write(self) -> Decision:
-        family = self._family
-        if family == "st1":
-            return Decision(CostEventKind.WRITE_NO_COPY, False)
-        if family == "st2":
-            return Decision(CostEventKind.WRITE_PROPAGATED, True)
-        if family == "sw1":
-            if not self._has_copy:
-                return Decision(CostEventKind.WRITE_NO_COPY, False)
-            self._has_copy = False
-            return Decision(
-                CostEventKind.WRITE_DELETE_REQUEST, False, deallocated=True
-            )
-        if family == "swk":
-            had_copy = self._has_copy
-            self._window.slide(Operation.WRITE)
-            if not had_copy:
-                return Decision(CostEventKind.WRITE_NO_COPY, False)
-            # The write is propagated to the replica.  If it flipped
-            # the majority to writes, the MC deallocates and notifies.
-            if self._window.majority_reads:
-                return Decision(CostEventKind.WRITE_PROPAGATED, True)
-            self._has_copy = False
-            return Decision(
-                CostEventKind.WRITE_PROPAGATED_DEALLOCATE,
-                False,
-                deallocated=True,
-            )
-        if family == "t1":
-            self._run = 0
-            if not self._has_copy:
-                return Decision(CostEventKind.WRITE_NO_COPY, False)
-            # First write after the read burst: drop the replica again.
-            self._has_copy = False
-            return Decision(
-                CostEventKind.WRITE_DELETE_REQUEST, False, deallocated=True
-            )
-        # t2
-        if not self._has_copy:
-            return Decision(CostEventKind.WRITE_NO_COPY, False)
-        self._run += 1
-        if self._run >= self._spec.param:
-            # Only the MC can count *consecutive* writes, so the m-th
-            # write is propagated and answered with the deallocation
-            # notice — the same exchange SWk uses.
-            self._has_copy = False
-            self._run = 0
-            return Decision(
-                CostEventKind.WRITE_PROPAGATED_DEALLOCATE,
-                False,
-                deallocated=True,
-            )
-        return Decision(CostEventKind.WRITE_PROPAGATED, True)
+            write = 1
+        elif operation is Operation.READ:
+            write = 0
+        else:
+            raise InvalidParameterError(f"unknown operation: {operation!r}")
+        self._carry = carry = (self._carry << 1 | write) & self._mask
+        return self._rule(self, carry, write)
 
     def __repr__(self) -> str:
         return (
             f"<AllocationSession {self._spec.name!r} "
             f"scheme={self.scheme.name}>"
         )
+
+
+# ---------------------------------------------------------------------------
+# The family rules: (session, carry after the shift, write bit) -> Decision.
+#
+# A rule reads and updates only the session's copy bit; the carry has
+# already been shifted.  The returned Decisions are the interned
+# constants above, so serving a request allocates nothing.
+
+
+def _st1_rule(session, carry, write):
+    return _WRITE_NO_COPY if write else _REMOTE_READ
+
+
+def _st2_rule(session, carry, write):
+    return _WRITE_PROPAGATED if write else _LOCAL_READ
+
+
+def _swk_rule(session, carry, write):
+    # Reads hold the majority of the k-window iff at most k // 2 of
+    # its bits are writes (k odd, so never a tie).
+    if write:
+        if not session._copy:
+            return _WRITE_NO_COPY
+        # The write is propagated to the replica.  If it flipped the
+        # majority to writes, the MC deallocates and notifies.
+        if popcount(carry) <= session._spec.param >> 1:
+            return _WRITE_PROPAGATED
+        session._copy = False
+        return _WRITE_PROPAGATED_DEALLOCATE
+    if session._copy:
+        return _LOCAL_READ
+    # The read goes remote; if it flipped the majority to reads, the
+    # SC piggybacks the copy and the window on the reply (free).
+    if popcount(carry) <= session._spec.param >> 1:
+        session._copy = True
+        return _REMOTE_READ_ALLOCATE
+    return _REMOTE_READ
+
+
+def _t1_rule(session, carry, write):
+    # Also SW1's rule: with m = 1 "the last m requests are reads" is
+    # "this request is a read", and the one-request window follows it.
+    if write:
+        if not session._copy:
+            return _WRITE_NO_COPY
+        # First write after the read burst: a delete-request drops the
+        # replica without shipping data.
+        session._copy = False
+        return _WRITE_DELETE_REQUEST
+    if session._copy:
+        return _LOCAL_READ
+    if not carry:
+        # The m-th consecutive remote read piggybacks the copy.
+        session._copy = True
+        return _REMOTE_READ_ALLOCATE
+    return _REMOTE_READ
+
+
+def _t2_rule(session, carry, write):
+    if not write:
+        if session._copy:
+            return _LOCAL_READ
+        # First read after the write burst: re-acquire the replica.
+        session._copy = True
+        return _REMOTE_READ_ALLOCATE
+    if not session._copy:
+        return _WRITE_NO_COPY
+    if carry == session._mask:
+        # Only the MC can count *consecutive* writes, so the m-th write
+        # is propagated and answered with the deallocation notice — the
+        # same exchange SWk uses.
+        session._copy = False
+        return _WRITE_PROPAGATED_DEALLOCATE
+    return _WRITE_PROPAGATED
+
+
+_RULES = {
+    "st1": _st1_rule,
+    "st2": _st2_rule,
+    "sw1": _t1_rule,
+    "swk": _swk_rule,
+    "t1": _t1_rule,
+    "t2": _t2_rule,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -550,20 +472,13 @@ class SessionBackedAlgorithm(AllocationAlgorithm):
     the constructor's configuration) and keep only presentation state —
     names, parameters for ``describe()``/``clone()``.  The request
     loop, the scheme transitions and the state signature all delegate
-    to the session, so the decision rules exist exactly once.
+    to the session, so the decision rules exist exactly once; the
+    initial scheme is the fresh session's.
     """
 
-    def __init__(self, initial_scheme: AllocationScheme):
-        # Validate before building the session so a bad scheme fails
-        # with the same error the base class raises, not an attribute
-        # error from inside the session constructor.
-        if not isinstance(initial_scheme, AllocationScheme):
-            raise InvalidParameterError(
-                f"initial_scheme must be an AllocationScheme, "
-                f"got {initial_scheme!r}"
-            )
+    def __init__(self):
         self._session = self._make_session()
-        super().__init__(initial_scheme=initial_scheme)
+        super().__init__(initial_scheme=self._session.scheme)
 
     @property
     def session(self) -> AllocationSession:

@@ -25,25 +25,20 @@ paper analyzes SW1 separately in the message model for exactly this
 reason (footnote in section 6).
 
 The decision rules live in :mod:`repro.core.session`
-(:class:`~repro.core.session.AllocationSession`); this module adapts
-them to the per-schedule :class:`~repro.core.base.AllocationAlgorithm`
-interface.  :class:`RequestWindow` is re-exported from the session
-module, where the single window implementation now lives.
+(:class:`~repro.core.session.AllocationSession`), where the window is
+the session's carry: the last k request bits as an ``int`` whose
+popcount is the window's write count.  This module adapts them to the
+per-schedule :class:`~repro.core.base.AllocationAlgorithm` interface.
+Both classes start from the fresh state (an all-writes window, no
+replica); a window state is reached by feeding requests.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from ..types import ensure_odd_window
+from .session import AlgorithmSpec, AllocationSession, SessionBackedAlgorithm
 
-from ..types import AllocationScheme, Operation, ensure_odd_window
-from .session import (
-    AlgorithmSpec,
-    AllocationSession,
-    RequestWindow,
-    SessionBackedAlgorithm,
-)
-
-__all__ = ["RequestWindow", "SlidingWindow", "SlidingWindowOne"]
+__all__ = ["SlidingWindow", "SlidingWindowOne"]
 
 
 class SlidingWindow(SessionBackedAlgorithm):
@@ -52,55 +47,30 @@ class SlidingWindow(SessionBackedAlgorithm):
     Parameters
     ----------
     k:
-        Window size; must be odd (section 4).
-    initial_window:
-        Operations pre-loading the window.  Defaults to a window that
-        is consistent with one-copy start (all writes), matching the
-        convention that the MC starts without a replica.  Passing an
-        explicit window also sets the initial scheme to its majority,
-        preserving the "scheme == window majority" invariant.
+        Window size; must be odd (section 4).  The window starts as
+        all writes, matching the convention that the MC starts without
+        a replica.
     """
 
     name = "swk"
 
-    def __init__(self, k: int, initial_window: Optional[Iterable[Operation]] = None):
+    def __init__(self, k: int):
         self._k = ensure_odd_window(k)
-        if initial_window is None:
-            self._initial_contents = (Operation.WRITE,) * self._k
-        else:
-            self._initial_contents = RequestWindow(
-                self._k, initial_window
-            ).contents()
-        reads = sum(1 for op in self._initial_contents if op is Operation.READ)
-        super().__init__(
-            initial_scheme=(
-                AllocationScheme.TWO_COPIES
-                if reads > self._k // 2
-                else AllocationScheme.ONE_COPY
-            )
-        )
+        super().__init__()
         # k = 1 without the delete-request optimization must not share
         # SW1's name: dispatch-by-name layers (the batched kernels,
         # the protocol decider factory) would silently swap semantics.
         self.name = f"sw{self._k}" if self._k > 1 else "sw1-unoptimized"
 
     def _make_session(self) -> AllocationSession:
-        return AllocationSession(
-            AlgorithmSpec("swk", self._k),
-            initial_window=self._initial_contents,
-        )
+        return AllocationSession(AlgorithmSpec("swk", self._k))
 
     @property
     def k(self) -> int:
         return self._k
 
-    @property
-    def window(self) -> RequestWindow:
-        """The current request window (mutating it voids the warranty)."""
-        return self.session.window
-
     def _configured_copy(self) -> "SlidingWindow":
-        return SlidingWindow(self._k, self._initial_contents)
+        return SlidingWindow(self._k)
 
     def describe(self) -> str:
         return f"SW{self._k} (sliding window, k={self._k})"
@@ -118,21 +88,15 @@ class SlidingWindowOne(SessionBackedAlgorithm):
 
     name = "sw1"
 
-    def __init__(self, initial_scheme: AllocationScheme = AllocationScheme.ONE_COPY):
-        self._sw1_initial_scheme = initial_scheme
-        super().__init__(initial_scheme=initial_scheme)
-
     def _make_session(self) -> AllocationSession:
-        return AllocationSession(
-            AlgorithmSpec("sw1"), initial_scheme=self._sw1_initial_scheme
-        )
+        return AllocationSession(AlgorithmSpec("sw1"))
 
     @property
     def k(self) -> int:
         return 1
 
     def _configured_copy(self) -> "SlidingWindowOne":
-        return SlidingWindowOne(self._initial_scheme)
+        return SlidingWindowOne()
 
     def describe(self) -> str:
         return "SW1 (one-request window with delete-request optimization)"

@@ -13,7 +13,6 @@ Both classes are thin adapters over the incremental decision core of
 
 from __future__ import annotations
 
-from ..types import AllocationScheme
 from .session import AlgorithmSpec, AllocationSession, SessionBackedAlgorithm
 
 __all__ = ["StaticOneCopy", "StaticTwoCopies"]
@@ -23,9 +22,6 @@ class StaticOneCopy(SessionBackedAlgorithm):
     """ST1: the mobile computer never holds a copy (on-demand reads)."""
 
     name = "st1"
-
-    def __init__(self):
-        super().__init__(initial_scheme=AllocationScheme.ONE_COPY)
 
     def _make_session(self) -> AllocationSession:
         return AllocationSession(AlgorithmSpec("st1"))
@@ -41,9 +37,6 @@ class StaticTwoCopies(SessionBackedAlgorithm):
     """ST2: the mobile computer always holds a copy (subscription)."""
 
     name = "st2"
-
-    def __init__(self):
-        super().__init__(initial_scheme=AllocationScheme.TWO_COPIES)
 
     def _make_session(self) -> AllocationSession:
         return AllocationSession(AlgorithmSpec("st2"))

@@ -22,14 +22,13 @@ T2m the decision point must be the MC — only it sees the local reads
 that break a write run — so the m-th consecutive write is propagated
 and answered with a deallocation notice (cost 1+ω), as in SWk.
 
-The run-length counting itself lives in the incremental decision core
-(:mod:`repro.core.session`); these classes adapt it to the
+The run tests themselves live in the incremental decision core
+(:mod:`repro.core.session`), on its carry bits; these classes adapt it to the
 per-schedule :class:`~repro.core.base.AllocationAlgorithm` interface.
 """
 
 from __future__ import annotations
 
-from ..types import AllocationScheme
 from .session import (
     AlgorithmSpec,
     AllocationSession,
@@ -50,7 +49,7 @@ class ThresholdOneCopy(SessionBackedAlgorithm):
 
     def __init__(self, m: int):
         self._m = ensure_threshold(m)
-        super().__init__(initial_scheme=AllocationScheme.ONE_COPY)
+        super().__init__()
         self.name = f"t1_{self._m}"
 
     def _make_session(self) -> AllocationSession:
@@ -74,7 +73,7 @@ class ThresholdTwoCopies(SessionBackedAlgorithm):
 
     def __init__(self, m: int):
         self._m = ensure_threshold(m)
-        super().__init__(initial_scheme=AllocationScheme.TWO_COPIES)
+        super().__init__()
         self.name = f"t2_{self._m}"
 
     def _make_session(self) -> AllocationSession:

@@ -10,23 +10,17 @@ matters.
 * **Offline charging** (competitiveness denominator): charging the
   offline optimum for releases (one control message) shrinks every
   measured ratio; the paper's factors assume free releases.
-* **Window bookkeeping**: incremental write-count vs recount-per-slide
-  — a pure implementation ablation validating the O(1) slide.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from ..analysis import message as ma
 from ..analysis.competitive import measure_competitive_ratio
 from ..analysis.numerics import monte_carlo_expected_cost
 from ..core.offline import OfflineOptimal
 from ..core.registry import make_algorithm
-from ..core.sliding_window import RequestWindow
 from ..costmodels.base import CostEventKind
 from ..costmodels.message import MessageCostModel
-from ..types import Operation
 from ..workload.adversary import sw1_tight_schedule, swk_tight_schedule
 from .harness import Check, Experiment, ExperimentResult, approx_check
 
@@ -123,19 +117,4 @@ class Ablations(Experiment):
                 )
             )
 
-        # Window bookkeeping: incremental count == recount.
-        rng = np.random.default_rng(17)
-        window = RequestWindow.all_writes(15)
-        mismatches = 0
-        for _step in range(2_000):
-            op = Operation.WRITE if rng.random() < 0.5 else Operation.READ
-            window.slide(op)
-            if window.write_count != window.recount():
-                mismatches += 1
-        result.checks.append(
-            Check(
-                "incremental window count matches recount over 2000 slides",
-                mismatches == 0,
-            )
-        )
         return result

@@ -24,9 +24,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
-
-from ..types import Operation
+from typing import Optional
 
 __all__ = [
     "MessageKind",
@@ -95,13 +93,14 @@ class ReadReply(Message):
 
     ``allocate`` piggybacks the save-indication of section 4; the SC
     thereby commits to propagate further writes.  ``window`` transfers
-    the request window when charge moves to the MC.
+    the request window — the SWk session's carry, the last k request
+    bits with the newest in bit 0 — when charge moves to the MC.
     """
 
     value: object = None
     version: int = 0
     allocate: bool = False
-    window: Optional[Tuple[Operation, ...]] = None
+    window: Optional[int] = None
     kind: MessageKind = MessageKind.DATA
 
 
@@ -116,9 +115,9 @@ class WritePropagation(Message):
 
 @dataclass(frozen=True)
 class DeallocationNotice(Message):
-    """MC → SC: stop propagating; here is the window (control message)."""
+    """MC → SC: stop propagating; here is the window carry (control message)."""
 
-    window: Optional[Tuple[Operation, ...]] = None
+    window: Optional[int] = None
     kind: MessageKind = MessageKind.CONTROL
 
 

@@ -17,6 +17,9 @@ so the protocol and the abstract algorithm share one implementation of
 the window majorities and run-length thresholds.  A decider translates
 its side's view of the wire into session feeds and reads the decision
 flags back off the returned :class:`~repro.core.session.Decision`.
+When SWk's charge moves, the window crosses the wire as the session's
+carry ``int`` (the last k request bits, newest in bit 0), and the
+receiving side seeds its session from it.
 """
 
 from __future__ import annotations
@@ -54,14 +57,14 @@ class StationaryDecider(abc.ABC):
         """Decide the action for a locally-applied write."""
 
     @abc.abstractmethod
-    def on_read_request(self) -> Tuple[bool, Optional[Tuple[Operation, ...]]]:
+    def on_read_request(self) -> Tuple[bool, Optional[int]]:
         """Decide whether the reply allocates; returns (allocate, window).
 
         A true ``allocate`` hands charge to the MC; the returned window
-        (if any) is piggybacked on the data reply.
+        carry (if any) is piggybacked on the data reply.
         """
 
-    def adopt_window(self, window: Optional[Tuple[Operation, ...]]) -> None:
+    def adopt_window(self, window: Optional[int]) -> None:
         """Receive the window back when the MC deallocates."""
 
     def owns_window(self) -> bool:
@@ -84,14 +87,14 @@ class MobileDecider(abc.ABC):
     def on_propagation(self) -> bool:
         """A propagated write arrived; return True to deallocate."""
 
-    def release_window(self) -> Optional[Tuple[Operation, ...]]:
-        """Window contents to send with a deallocation notice.
+    def release_window(self) -> Optional[int]:
+        """The window carry to send with a deallocation notice.
 
         Algorithms without a window (T2m) return ``None``.
         """
         return None
 
-    def adopt_window(self, window: Optional[Tuple[Operation, ...]]) -> None:
+    def adopt_window(self, window: Optional[int]) -> None:
         """Receive the window piggybacked on an allocating read reply."""
 
     def owns_window(self) -> bool:
@@ -150,8 +153,8 @@ class _NoReplicaMobile(MobileDecider):
 # Sliding-window family
 #
 # The window lives inside a session on whichever side is in charge;
-# the handoff messages carry the window contents, and the receiving
-# side re-seeds a session from them.
+# the handoff messages carry the session's carry int, and the receiving
+# side seeds a session from it with the copy bit the handoff implies.
 
 
 class _SwkStationary(StationaryDecider):
@@ -179,9 +182,8 @@ class _SwkStationary(StationaryDecider):
         session = self._require_session()
         decision = session.feed(Operation.READ)
         if decision.allocated:
-            contents = session.window_contents()
             self._session = None  # charge moves to the MC
-            return True, contents
+            return True, session.carry
         return False, None
 
     def adopt_window(self, window):
@@ -189,7 +191,7 @@ class _SwkStationary(StationaryDecider):
             raise ProtocolError("the SC already holds a window")
         if window is None:
             raise ProtocolError("a deallocation notice must carry the window")
-        self._session = AllocationSession(self._spec, initial_window=window)
+        self._session = AllocationSession(self._spec, seed=(window, False))
 
     def owns_window(self) -> bool:
         return self._session is not None
@@ -214,18 +216,18 @@ class _SwkMobile(MobileDecider):
         decision = self._require_session().feed(Operation.WRITE)
         return decision.deallocated
 
-    def release_window(self) -> Tuple[Operation, ...]:
-        """Hand the window back for the deallocation notice."""
-        contents = self._require_session().window_contents()
+    def release_window(self) -> int:
+        """Hand the window carry back for the deallocation notice."""
+        carry = self._require_session().carry
         self._session = None
-        return contents
+        return carry
 
     def adopt_window(self, window):
         if self._session is not None:
             raise ProtocolError("the MC already holds a window")
         if window is None:
             raise ProtocolError("an allocating reply must carry the window")
-        self._session = AllocationSession(self._spec, initial_window=window)
+        self._session = AllocationSession(self._spec, seed=(window, True))
 
     def owns_window(self) -> bool:
         return self._session is not None
@@ -254,29 +256,26 @@ class _Sw1Stationary(StationaryDecider):
 
 
 class _T1Stationary(StationaryDecider):
-    """T1m's SC side: the session counts the consecutive remote reads.
+    """T1m's SC side: the session's carry holds the remote-read run.
 
     The SC sees every relevant request while the MC holds no copy, and
-    T1m's session state is insensitive to requests served while the
-    copy is held (local reads are free and leave the run counter
-    reset), so one session on the SC stays synchronized across the
-    whole run.
+    T1m's decisions are insensitive to the local reads it misses while
+    the copy is held (the write that drops the copy breaks the read
+    run), so one session on the SC stays synchronized across the whole
+    run.
     """
 
     def __init__(self, m: int):
         self._session = AllocationSession(AlgorithmSpec("t1", m))
 
     def on_write(self, mc_subscribed: bool) -> WriteAction:
-        decision = self._session.feed(Operation.WRITE)
+        self._session.feed(Operation.WRITE)
         if mc_subscribed:
             return WriteAction(delete_request=True)
-        return WriteAction() if not decision.deallocated else WriteAction()
+        return WriteAction()
 
     def on_read_request(self):
-        decision = self._session.feed(Operation.READ)
-        if decision.allocated:
-            return True, None
-        return False, None
+        return self._session.feed(Operation.READ).allocated, None
 
 
 class _T2Stationary(StationaryDecider):

@@ -14,6 +14,7 @@ from repro.core.registry import make_algorithm
 from repro.costmodels.base import CostEventKind
 from repro.exceptions import InvalidParameterError
 from repro.types import Operation
+from repro.workload import bernoulli_schedule
 
 
 class TestOnlineThetaEstimator:
@@ -135,9 +136,27 @@ class TestAdaptiveAllocator:
     def test_replay_is_deterministic(self):
         text = ("r" * 40 + "w" * 40 + "rw" * 40) * 3
         operations = [Operation.from_symbol(symbol) for symbol in text]
-        first = [AdaptiveAllocator().process(op) for op in operations]
-        second = [AdaptiveAllocator().process(op) for op in operations]
-        assert first == second
+        passes = []
+        for _ in range(2):
+            algorithm = AdaptiveAllocator()
+            passes.append([algorithm.process(op) for op in operations])
+        assert passes[0] == passes[1]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_t1_allocates_only_after_m_reads(self, seed):
+        # Adopting T1m on a read must not count that read twice:
+        # bernoulli_schedule(0.5, 5000, 2) once allocated under t1_2
+        # after a one-read run (request 1919).
+        algorithm = AdaptiveAllocator()
+        read_run = 0
+        schedule = bernoulli_schedule(0.5, 5_000, seed)
+        for index, request in enumerate(schedule):
+            had_copy = algorithm.mobile_has_copy
+            algorithm.process(request.operation)
+            is_write = request.operation is Operation.WRITE
+            read_run = 0 if is_write else read_run + 1
+            if algorithm.family == "t1" and algorithm.mobile_has_copy > had_copy:
+                assert read_run >= algorithm.param, index
 
     def test_swk_only_oracle(self):
         algorithm = AdaptiveAllocator(ms=())

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import EwmaAllocator, HysteresisSlidingWindow, SlidingWindow, replay
+from repro.core.adaptive import AdaptiveAllocator, OnlineThetaEstimator
 from repro.core.registry import make_algorithm
 from repro.costmodels import ConnectionCostModel, CostEventKind
 from repro.exceptions import InvalidParameterError
@@ -149,3 +150,19 @@ class TestHysteresisSlidingWindow:
             HysteresisSlidingWindow(9, 2), schedule, model
         ).allocation_changes()
         assert damped < plain
+
+
+class TestIntegerArguments:
+    """Count-valued arguments reject floats and bools, never truncate."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: OnlineThetaEstimator(window=2.5),
+        lambda: AdaptiveAllocator(retune_interval=2.5),
+        lambda: AdaptiveAllocator(history=600.9),
+        lambda: AdaptiveAllocator(detector_window=True),
+        lambda: HysteresisSlidingWindow(5, 1.5),
+    ], ids=["estimator-window", "retune-interval", "history",
+            "detector-window", "hysteresis-margin"])
+    def test_non_integer_rejected(self, build):
+        with pytest.raises(InvalidParameterError):
+            build()

@@ -146,16 +146,6 @@ class TestWindowSemantics:
         majority_reads = last_k.count("r") > last_k.count("w")
         assert algorithm.mobile_has_copy == majority_reads
 
-    @given(text=schedule_strings, k=odd_windows)
-    @settings(max_examples=100, deadline=None)
-    def test_window_counter_consistency(self, text, k):
-        algorithm = SlidingWindow(k)
-        for symbol in text:
-            algorithm.process(
-                Schedule.from_string(symbol)[0].operation
-            )
-            assert algorithm.window.write_count == algorithm.window.recount()
-
     @given(text=schedule_strings)
     @settings(max_examples=100, deadline=None)
     def test_sw1_equals_swk1_schemes(self, text):

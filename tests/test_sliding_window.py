@@ -1,59 +1,21 @@
-"""Unit tests for the SWk family and the request window (section 4)."""
+"""Unit tests for the SWk family and its request window (section 4)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core import SlidingWindow, SlidingWindowOne, replay
-from repro.core.sliding_window import RequestWindow
+from repro.core.session import popcount
 from repro.costmodels import ConnectionCostModel, CostEventKind
 from repro.exceptions import InvalidParameterError
-from repro.types import READ, WRITE, AllocationScheme, Operation, Schedule
+from repro.types import READ, WRITE, AllocationScheme, Schedule
 
 
-class TestRequestWindow:
-    def test_all_reads_majority(self):
-        window = RequestWindow.all_reads(5)
-        assert window.read_count == 5
-        assert window.write_count == 0
-        assert window.majority_reads
-
-    def test_all_writes_majority(self):
-        window = RequestWindow.all_writes(5)
-        assert window.write_count == 5
-        assert not window.majority_reads
-
-    def test_slide_evicts_oldest(self):
-        window = RequestWindow(3, [WRITE, WRITE, READ])
-        window.slide(READ)  # drops the oldest write
-        assert window.contents() == (WRITE, READ, READ)
-        assert window.majority_reads
-
-    def test_incremental_count_matches_recount(self):
-        window = RequestWindow.all_writes(7)
-        pattern = [READ, READ, WRITE, READ, WRITE, WRITE, READ, READ, READ]
-        for op in pattern * 3:
-            window.slide(op)
-            assert window.write_count == window.recount()
-
-    def test_no_ties_with_odd_k(self):
-        window = RequestWindow(3, [READ, READ, WRITE])
-        assert window.read_count != window.write_count
-
-    def test_rejects_even_window(self):
-        with pytest.raises(InvalidParameterError):
-            RequestWindow(4, [READ] * 4)
-
-    def test_rejects_wrong_initial_length(self):
-        with pytest.raises(InvalidParameterError):
-            RequestWindow(3, [READ, WRITE])
-
-    def test_copy_is_independent(self):
-        window = RequestWindow.all_reads(3)
-        clone = window.copy()
-        clone.slide(WRITE)
-        assert window.write_count == 0
-        assert clone.write_count == 1
+def _fed(algorithm, text):
+    """``algorithm`` after serving the requests spelled by ``text``."""
+    for request in Schedule.from_string(text):
+        algorithm.process(request.operation)
+    return algorithm
 
 
 class TestSlidingWindowBehaviour:
@@ -63,7 +25,9 @@ class TestSlidingWindowBehaviour:
         assert algorithm.name == "sw5"
 
     def test_initial_window_sets_scheme(self):
-        algorithm = SlidingWindow(3, initial_window=[READ, READ, READ])
+        # Three reads fill the window; its majority is the scheme.
+        algorithm = _fed(SlidingWindow(3), "rrr")
+        assert algorithm.session.carry == 0b000
         assert algorithm.scheme is AllocationScheme.TWO_COPIES
 
     def test_allocation_needs_majority_flip(self):
@@ -76,16 +40,16 @@ class TestSlidingWindowBehaviour:
         assert algorithm.mobile_has_copy  # window now r,r,w -> majority reads
 
     def test_reads_free_once_allocated(self):
-        algorithm = SlidingWindow(3, initial_window=[READ] * 3)
+        algorithm = _fed(SlidingWindow(3), "rrr")
         assert algorithm.process(READ) is CostEventKind.LOCAL_READ
 
     def test_write_propagated_while_majority_reads(self):
-        algorithm = SlidingWindow(5, initial_window=[READ] * 5)
+        algorithm = _fed(SlidingWindow(5), "rrrrr")
         assert algorithm.process(WRITE) is CostEventKind.WRITE_PROPAGATED
         assert algorithm.mobile_has_copy
 
     def test_write_deallocates_on_flip(self):
-        algorithm = SlidingWindow(3, initial_window=[READ] * 3)
+        algorithm = _fed(SlidingWindow(3), "rrr")
         assert algorithm.process(WRITE) is CostEventKind.WRITE_PROPAGATED
         kind = algorithm.process(WRITE)
         assert kind is CostEventKind.WRITE_PROPAGATED_DEALLOCATE
@@ -101,7 +65,8 @@ class TestSlidingWindowBehaviour:
         pattern = Schedule.from_string("rrrwwrwrwwwrrrrrwwwwwrrr")
         for request in pattern:
             algorithm.process(request.operation)
-            assert algorithm.mobile_has_copy == algorithm.window.majority_reads
+            writes = popcount(algorithm.session.carry)
+            assert algorithm.mobile_has_copy == (7 - writes > writes)
 
     def test_reset_restores_initial_state(self):
         algorithm = SlidingWindow(3)
@@ -110,14 +75,14 @@ class TestSlidingWindowBehaviour:
         assert algorithm.mobile_has_copy
         algorithm.reset()
         assert not algorithm.mobile_has_copy
-        assert algorithm.window.write_count == 3
+        assert algorithm.session.carry == 0b111
 
     def test_clone_is_fresh(self):
         algorithm = SlidingWindow(3)
         algorithm.process(READ)
         clone = algorithm.clone()
         assert clone.k == 3
-        assert clone.window.write_count == 3
+        assert clone.session.carry == 0b111
 
     def test_rejects_even_k(self):
         with pytest.raises(InvalidParameterError):
