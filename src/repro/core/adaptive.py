@@ -71,11 +71,7 @@ class OnlineThetaEstimator:
     dependable CUSUM stand-in that is exact to test and cheap to run
     per request.
 
-    The two window sums are popcounts of the int's halves.  Per
-    request they are kept current from the bits that cross each
-    half's boundary: ``bin(x).count("1")`` (the popcount that runs on
-    Python 3.9, where ``int.bit_count`` is missing) would cost two
-    string conversions a request.
+    The two window sums are popcounts of the int's halves.
     """
 
     def __init__(self, window: int = 48, threshold: float = 0.35):
@@ -88,6 +84,7 @@ class OnlineThetaEstimator:
             )
         self.window = window
         self.threshold = float(threshold)
+        self._recent_mask = (1 << window) - 1
         self._full_mask = (1 << 2 * window) - 1
         self.reset()
 
@@ -101,37 +98,31 @@ class OnlineThetaEstimator:
         recent = min(self._observed, self.window)
         if recent == 0:
             return 0.5
-        return self._recent_writes / recent
+        return (self._bits & self._recent_mask).bit_count() / recent
 
     def observe(self, is_write: bool) -> bool:
         """Ingest one request; True when a regime change is declared."""
         window = self.window
-        write = 1 if is_write else 0
-        bits = self._bits << 1 | write
-        crossing = bits >> window & 1  # leaves the recent half
-        self._recent_writes += write - crossing
-        self._older_writes += crossing - (bits >> 2 * window & 1)
-        self._bits = bits & self._full_mask
+        bits = self._bits = (
+            self._bits << 1 | (1 if is_write else 0)
+        ) & self._full_mask
         if self._observed < 2 * window:
             self._observed += 1
             if self._observed < 2 * window:
                 return False
-        recent = self._recent_writes / window
-        older = self._older_writes / window
+        recent = (bits & self._recent_mask).bit_count() / window
+        older = (bits >> window).bit_count() / window
         if abs(recent - older) <= self.threshold:
             return False
         # Drop the stale half so the detector re-arms on fresh data.
-        self._bits &= (1 << window) - 1
+        self._bits = bits & self._recent_mask
         self._observed = window
-        self._older_writes = 0
         return True
 
     def reset(self) -> None:
         """Forget all observations and disarm the detector."""
         self._bits = 0
         self._observed = 0
-        self._recent_writes = 0
-        self._older_writes = 0
 
 
 class AdaptiveAllocator(AllocationAlgorithm):

@@ -449,7 +449,7 @@ class MultiObjectOfflineOptimal:
         infinity = float("inf")
         best = [infinity] * num_states
         best[0] = 0.0  # start with nothing replicated
-        popcount = [bin(state).count("1") for state in range(num_states)]
+        popcount = [state.bit_count() for state in range(num_states)]
 
         for request in schedule:
             if not request.objects:

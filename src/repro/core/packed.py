@@ -65,7 +65,7 @@ _WRITE_DELETE_REQUEST = 5
 #: a 256-entry lookup table (same result, one extra gather).
 _HAVE_BITWISE_COUNT = hasattr(np, "bitwise_count")
 _POPCOUNT_LUT = np.array(
-    [bin(value).count("1") for value in range(256)], dtype=np.uint8
+    [value.bit_count() for value in range(256)], dtype=np.uint8
 )
 
 #: ``_PREFIX_LUT[byte, j]`` = popcount of the byte's first ``j + 1``

@@ -218,11 +218,8 @@ _WRITE_DELETE_REQUEST = Decision(
 
 
 def popcount(bits: int) -> int:
-    """The number of set bits of a non-negative int.
-
-    ``int.bit_count`` would do, but it needs Python 3.10.
-    """
-    return bin(bits).count("1")
+    """The number of set bits of a non-negative int."""
+    return bits.bit_count()
 
 
 def window_operations(window: int, k: int) -> Tuple[Operation, ...]:
@@ -395,7 +392,7 @@ def _swk_rule(session, carry, write):
             return _WRITE_NO_COPY
         # The write is propagated to the replica.  If it flipped the
         # majority to writes, the MC deallocates and notifies.
-        if popcount(carry) <= session._spec.param >> 1:
+        if carry.bit_count() <= session._spec.param >> 1:
             return _WRITE_PROPAGATED
         session._copy = False
         return _WRITE_PROPAGATED_DEALLOCATE
@@ -403,7 +400,7 @@ def _swk_rule(session, carry, write):
         return _LOCAL_READ
     # The read goes remote; if it flipped the majority to reads, the
     # SC piggybacks the copy and the window on the reply (free).
-    if popcount(carry) <= session._spec.param >> 1:
+    if carry.bit_count() <= session._spec.param >> 1:
         session._copy = True
         return _REMOTE_READ_ALLOCATE
     return _REMOTE_READ

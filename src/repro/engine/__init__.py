@@ -45,6 +45,7 @@ from .batched import (
     BatchSpec,
     BatchedBackend,
     execute_batch,
+    run_batched_columns,
     run_batched_masks,
 )
 from .parallel import (
@@ -98,6 +99,7 @@ __all__ = [
     "PackedMasks",
     "execute_batch",
     "pack_write_masks",
+    "run_batched_columns",
     "run_batched_masks",
     "EngineTask",
     "FunctionTask",

@@ -20,12 +20,12 @@ Two execution tiers sit under :func:`run_batched_masks`:
 
 * **Packed counts.**  When the caller hands a
   :class:`~repro.core.packed.PackedMasks` (8 requests per byte) and
-  only aggregates are observable — streaming, no per-request trace, no
-  ``arrays_sink`` — the per-kind counts and scheme flips come straight
-  off the packed bytes via popcounts, never materializing a ``(B, N)``
-  code matrix.
+  only aggregates are observable — streaming, no per-request trace —
+  the per-kind counts and scheme flips come straight off the packed
+  bytes via popcounts, never materializing a ``(B, N)`` code matrix.
 * **Threaded row tiles.**  The ``(B, N)`` grid splits into row tiles
-  fanned across a ``ThreadPoolExecutor`` — the kernels are
+  of about 2^20 elements (never fewer than 32 rows), fanned across a
+  ``ThreadPoolExecutor`` — the kernels are
   embarrassingly parallel over rows and numpy releases the GIL, so
   threads scale on real cores (1.37x on 2 cores for a 256 x 250k sweep
   grid).  The budget is the core count, capped at 8; a launch below
@@ -37,6 +37,9 @@ Two execution tiers sit under :func:`run_batched_masks`:
 (``backend="batched"``), and it is what ``backend="auto"`` picks for
 every fresh run the kernels cover: a single run is a batch of one.
 Streaming, untraced runs pack their mask and take the counts tier.
+
+:func:`run_batched_columns` is the same kernel pass with whole columns
+out and no per-row result — for callers that keep per-row state.
 """
 
 from __future__ import annotations
@@ -78,6 +81,7 @@ __all__ = [
     "BatchSpec",
     "BatchedBackend",
     "execute_batch",
+    "run_batched_columns",
     "run_batched_masks",
     "supports",
 ]
@@ -92,8 +96,11 @@ _NULL_INSTRUMENTATION = Instrumentation()
 #: be a pure function of the run alone, not of its chunk-mates.
 _REASON = "batched kernel covers {name!r}"
 
-#: Rows per tile; small enough that a tile's transient arrays stay
-#: cache-friendly, large enough that tile dispatch is noise.
+#: Grid elements per tile; small enough that a tile's transient arrays
+#: stay cache-friendly, large enough that tile dispatch is noise.
+_TILE_ELEMENTS = 1 << 20
+
+#: Rows per tile at least, however long the rows.
 _TILE_ROWS = 32
 
 #: Below this many grid elements a launch stays serial — pool startup
@@ -147,14 +154,19 @@ def _spec_batchable(spec: RunSpec) -> bool:
     )
 
 
-def _row_tiles(batch: int, threads: int) -> List[Tuple[int, int]]:
-    """Split ``batch`` rows into ``[start, stop)`` tiles.
+def _row_tiles(
+    batch: int, length: int, threads: int
+) -> List[Tuple[int, int]]:
+    """Split ``batch`` rows of ``length`` requests into ``[start, stop)``
+    tiles.
 
-    Tiles are :data:`_TILE_ROWS` high, shrunk so a small batch still
-    yields one tile per thread; an empty batch is one empty tile, so
-    the outputs keep their shapes.
+    Tiles hold about :data:`_TILE_ELEMENTS` elements and at least
+    :data:`_TILE_ROWS` rows, shrunk so a small batch still yields one
+    tile per thread; an empty batch is one empty tile, so the outputs
+    keep their shapes.
     """
-    rows = max(1, min(_TILE_ROWS, -(-batch // threads)))
+    height = max(_TILE_ROWS, _TILE_ELEMENTS // max(length, 1))
+    rows = max(1, min(height, -(-batch // threads)))
     return [
         (start, min(start + rows, batch))
         for start in range(0, max(batch, 1), rows)
@@ -187,7 +199,6 @@ def _kernel_results(
     warmup: int,
     stream: bool,
     instrumentation,
-    arrays_sink: Optional[dict] = None,
 ) -> List[EngineResult]:
     """Run the batch kernels and build one result per row.
 
@@ -202,7 +213,7 @@ def _kernel_results(
     batch, length = writes.shape
     warmup = ensure_warmup(warmup, length)
     trace = wants_per_request(instrumentation)
-    need_codes = trace or not stream or arrays_sink is not None
+    need_codes = trace or not stream
     threads = _thread_budget(batch * length)
 
     if packed is not None and not need_codes:
@@ -225,18 +236,10 @@ def _kernel_results(
             return batched_counts(codes, warmup), flips, codes, copy_after
 
     counts_matrix, flips, *arrays = _map_tiles(
-        compute_tile, _row_tiles(batch, threads), threads
+        compute_tile, _row_tiles(batch, length, threads), threads
     )
     codes, copy_after = arrays or (None, None)
 
-    if arrays_sink is not None:
-        # Column-level view for callers (the allocation service) that
-        # carry state across chunks themselves: the raw decision codes,
-        # the post-request replica flags, and the warmup-respecting
-        # counts matrix, at zero additional per-row cost.
-        arrays_sink["codes"] = codes
-        arrays_sink["copy_after"] = copy_after
-        arrays_sink["counts"] = counts_matrix
     results: List[EngineResult] = []
     for row in range(batch):
         cost_model = cost_models[row]
@@ -301,7 +304,6 @@ def run_batched_masks(
     warmup: int = 0,
     stream: bool = True,
     instrumentation: Optional[Instrumentation] = None,
-    arrays_sink: Optional[dict] = None,
 ) -> List[EngineResult]:
     """Execute one batch group straight from a ``(B, N)`` write matrix.
 
@@ -321,13 +323,6 @@ def run_batched_masks(
     Grids of 2^20 elements or more fan row tiles across a thread pool
     (see the module docstring); the results are identical to serial
     execution byte for byte.
-
-    When ``arrays_sink`` (a plain dict) is given it receives the whole
-    group's ``codes`` (``(B, N)`` int64 event-kind codes in
-    ``EVENT_KIND_ORDER``), ``copy_after`` (``(B, N)`` bool replica
-    flags) and ``counts`` (``(B, 6)`` int64, warmup excluded) — the
-    column-level outputs the allocation service folds into its own
-    per-session accumulators without touching the per-row results.
     """
     name = algorithm_name.strip().lower()
     if not isinstance(writes, PackedMasks):
@@ -349,7 +344,6 @@ def run_batched_masks(
     results = _kernel_results(
         name, writes, cost_models,
         warmup=warmup, stream=stream, instrumentation=instruments,
-        arrays_sink=arrays_sink,
     )
     elapsed = (time.perf_counter() - started) / max(batch, 1)
     for result in results:
@@ -359,6 +353,37 @@ def run_batched_masks(
     if batch:
         instruments.on_batch(name, batch, batch * length)
     return results
+
+
+def run_batched_columns(
+    algorithm_name: str, writes: np.ndarray, warmup: int = 0
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One kernel pass over a ``(B, N)`` write block, columns out.
+
+    Returns ``(counts, copy, codes)``: the ``(B, 6)`` event counts over
+    requests ``warmup..N``, each row's replica flag after its last
+    request and the ``(B, N - warmup)`` codes of those requests.  No
+    per-row result, no pricing, no hook.  The allocation service feeds
+    ``[carry | block]`` with ``warmup`` = the carry length.
+    """
+    writes = np.asarray(writes, dtype=bool)
+    batch, length = writes.shape
+    warmup = ensure_warmup(warmup, length)
+    if length == 0:
+        raise InvalidParameterError("a column block needs at least one request")
+    threads = _thread_budget(batch * length)
+
+    def compute_tile(start: int, stop: int):
+        codes, copy_after = batched_run_arrays(
+            algorithm_name, writes[start:stop]
+        )
+        return (
+            batched_counts(codes, warmup), copy_after[:, -1], codes[:, warmup:]
+        )
+
+    return _map_tiles(
+        compute_tile, _row_tiles(batch, length, threads), threads
+    )
 
 
 def execute_batch(

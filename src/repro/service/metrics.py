@@ -2,13 +2,13 @@
 
 :class:`ServiceCounters` extends the engine's
 :class:`~repro.engine.instrumentation.CounterInstrumentation` with the
-service-level hooks (sessions opened, shard drains, backpressure) and
-drops the per-run dispatch log: the service funnels every queued
-operation through the batched kernels, so a log entry per drained
-session row would grow without bound while saying the same thing a
-million times.  The backend/run counters themselves keep accumulating,
-which is what makes service throughput directly comparable with the
-sweep executor's reports.
+service-level hooks (sessions opened, shard drains, backpressure).  A
+drain is one column-level kernel pass per group that fires no per-run
+hook, so the inherited run counters (``runs``, ``backend_runs``,
+``total_cost``, ``wall_seconds``, ``event_counts``) do not grow from
+drains and the dispatch log stays empty; ``requests`` is tallied per
+drain instead.  Per-session totals live in
+:meth:`~repro.service.host.AllocationService.session_info`.
 """
 
 from __future__ import annotations
@@ -36,18 +36,6 @@ class ServiceCounters(CounterInstrumentation):
         self.failovers_observed = 0
         self.failover_divergences = 0
 
-    def on_run_start(
-        self,
-        algorithm_name: str,
-        backend_name: str,
-        num_requests: int,
-        reason: str,
-    ) -> None:
-        # Same tallies as the base class, minus the unbounded
-        # dispatch_log append (one drained session row == one "run").
-        self.runs += 1
-        self.backend_runs[backend_name] += 1
-
     def on_session_open(self, shard_index: int, algorithm_name: str) -> None:
         self.sessions_opened += 1
         self.shard_occupancy[shard_index] += 1
@@ -58,6 +46,7 @@ class ServiceCounters(CounterInstrumentation):
         self.shard_drains += 1
         self.drained_sessions += sessions
         self.drained_decisions += decisions
+        self.requests += decisions
 
     def on_backpressure(self, shard_index: int, queue_depth: int) -> None:
         self.backpressure_events += 1

@@ -142,13 +142,11 @@ class Schedule(Sequence[Request]):
     schedule ``w, r, r, r, w, r, w`` from section 3.
     """
 
-    __slots__ = ("_requests", "_write_mask", "_packed_mask",
-                 "_content_digest")
+    __slots__ = ("_requests", "_write_mask", "_content_digest")
 
     def __init__(self, requests: Iterable[Request] = ()):
         self._requests: Tuple[Request, ...] = tuple(requests)
         self._write_mask: Optional[np.ndarray] = None
-        self._packed_mask = None
         self._content_digest: Optional[str] = None
         for position, request in enumerate(self._requests):
             if not isinstance(request, Request):
@@ -248,22 +246,6 @@ class Schedule(Sequence[Request]):
         the same cached buffer reinterpreted, not a conversion.
         """
         return self.write_mask().view(np.uint8)
-
-    def packed_write_mask(self):
-        """The write mask bit-packed eight requests per byte; cached.
-
-        A single-row :class:`~repro.core.packed.PackedMasks` — the
-        representation the batched engine's popcount tier consumes
-        directly.  One eighth the footprint of :meth:`write_mask`;
-        computed once per schedule (immutability again).
-        """
-        if self._packed_mask is None:
-            from .core.packed import PackedMasks
-
-            self._packed_mask = PackedMasks.from_bool(
-                self.write_mask()[None, :]
-            )
-        return self._packed_mask
 
     def _prefill_write_mask(self, mask: np.ndarray) -> None:
         """Install a precomputed write mask (workload generators only).

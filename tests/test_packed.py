@@ -36,9 +36,10 @@ from repro.core.packed import (
 )
 from repro.costmodels import ConnectionCostModel, MessageCostModel
 from repro.engine import FunctionTask, SweepExecutor, run, run_batched_masks
-from repro.engine.batched import _row_tiles
+from repro.engine.batched import _row_tiles, run_batched_columns
 from repro.exceptions import InvalidParameterError, UnknownAlgorithmError
-from repro.types import Schedule
+from repro.costmodels.base import EVENT_KIND_ORDER
+from repro.types import AllocationScheme, Schedule
 
 MODEL = ConnectionCostModel()
 
@@ -48,17 +49,21 @@ FAMILY_NAMES = ("st1", "st2", "sw1", "sw5", "t1_3", "t2_3")
 THREAD_COUNTS = (1, 2, 4)
 
 
-def _run_on(threads, *args, tile_height=None, **kwargs):
-    """``run_batched_masks`` on ``threads`` tile threads, whatever the size.
+def _run_on(threads, *args, tile_height=None, entry=run_batched_masks,
+            **kwargs):
+    """``entry`` (``run_batched_masks`` by default) on ``threads`` tile
+    threads, whatever the size.
 
-    ``tile_height`` overrides the default tile height.
+    ``tile_height`` overrides the default tile height (the element
+    budget is zeroed so the row floor alone sets it).
     """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(batched_engine, "_thread_budget",
                       lambda _elements: threads)
         if tile_height is not None:
+            patch.setattr(batched_engine, "_TILE_ELEMENTS", 0)
             patch.setattr(batched_engine, "_TILE_ROWS", tile_height)
-        return run_batched_masks(*args, **kwargs)
+        return entry(*args, **kwargs)
 
 
 @st.composite
@@ -217,14 +222,61 @@ class TestRaggedTiles:
                 assert got.event_counts == expected.event_counts
                 assert got.scheme_changes == expected.scheme_changes
 
+    @pytest.mark.parametrize("algorithm_name", FAMILY_NAMES)
+    def test_columns_match_per_row_results(self, algorithm_name):
+        rng = np.random.default_rng(23)
+        writes = rng.random((7, 13)) < 0.5
+        warmup = 4
+        baseline = _run_on(
+            1, algorithm_name, writes, [MODEL] * 7, warmup=warmup,
+            stream=False,
+        )
+        for threads, tile_height in ((1, None), (2, 3)):
+            counts, copy, codes = _run_on(
+                threads, algorithm_name, writes, warmup,
+                tile_height=tile_height, entry=run_batched_columns,
+            )
+            assert counts.shape == (7, 6) and codes.shape == (7, 9)
+            for row, expected in enumerate(baseline):
+                assert {
+                    kind: int(count)
+                    for kind, count in zip(EVENT_KIND_ORDER, counts[row])
+                    if count
+                } == expected.event_counts
+                assert copy[row] == (
+                    expected.schemes[-1] is AllocationScheme.TWO_COPIES
+                )
+                assert [EVENT_KIND_ORDER[code] for code in codes[row]] == list(
+                    expected.event_kinds[warmup:]
+                )
+
+    def test_columns_reject_empty_rows(self):
+        with pytest.raises(InvalidParameterError):
+            run_batched_columns("sw3", np.zeros((2, 0), dtype=bool))
+
     def test_row_tiles_cover_exactly(self, monkeypatch):
-        assert _row_tiles(100, 1) == [(0, 32), (32, 64), (64, 96), (96, 100)]
-        # An empty batch is one empty tile.
-        assert _row_tiles(0, 1) == [(0, 0)]
+        # Long rows keep the 32-row floor: the sweep grid's shape.
+        assert _row_tiles(100, 250_000, 1) == [
+            (0, 32), (32, 64), (64, 96), (96, 100)
+        ]
+        assert _row_tiles(256, 250_000, 2) == [
+            (start, start + 32) for start in range(0, 256, 32)
+        ]
+        # Short rows fill a tile up to the element budget: a service
+        # group of 390 rows of L + 50 requests is one tile.
+        assert _row_tiles(390, 59, 1) == [(0, 390)]
+        assert _row_tiles(40_000, 59, 1) == [
+            (0, 17_772), (17_772, 35_544), (35_544, 40_000)
+        ]
+        # An empty batch is one empty tile, whatever the length.
+        assert _row_tiles(0, 1, 1) == [(0, 0)]
+        assert _row_tiles(3, 0, 1) == [(0, 3)]
         # Tiles shrink so a small batch still feeds every thread.
-        assert _row_tiles(8, 4) == [(0, 2), (2, 4), (4, 6), (6, 8)]
+        assert _row_tiles(8, 250_000, 4) == [(0, 2), (2, 4), (4, 6), (6, 8)]
+        assert _row_tiles(8, 59, 4) == [(0, 2), (2, 4), (4, 6), (6, 8)]
+        monkeypatch.setattr(batched_engine, "_TILE_ELEMENTS", 0)
         monkeypatch.setattr(batched_engine, "_TILE_ROWS", 2)
-        assert _row_tiles(5, 1) == [(0, 2), (2, 4), (4, 5)]
+        assert _row_tiles(5, 13, 1) == [(0, 2), (2, 4), (4, 5)]
 
 
 class TestAccumulatorGuard:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro.costmodels import ConnectionCostModel, MessageCostModel
 from repro.costmodels.base import CostEventKind
 from repro.engine import run as engine_run
+from repro.engine.instrumentation import Instrumentation
 from repro.exceptions import (
     InvalidParameterError,
     ServiceError,
@@ -137,6 +140,22 @@ class TestDecisions:
         assert replay["sessions_replayed"] == 20
         assert replay["decisions_replayed"] == 20 * 31
 
+    def test_repeated_key_in_a_block_is_rejected(self):
+        """A repeated key would be decided twice from one state and only
+        one row kept; planning such a block must fail instead."""
+        service = AllocationService(ServiceConfig(num_shards=2))
+        key = _key(0)
+        service.open_session(key, "sw3")
+        service.open_session(_key(1), "sw3")
+        for keys in ([key, key], [key, _key(1), key]):
+            with pytest.raises(InvalidParameterError, match="more than once"):
+                service.plan_block(keys)
+        assert service.session_info(key)["decisions"] == 0
+        plan = service.plan_block([key, _key(1)])
+        assert service.submit_block(plan, np.ones((2, 5), dtype=bool)) == 10
+        assert service.session_info(key)["decisions"] == 5
+        assert service.replay_verify()["decisions_replayed"] == 10
+
     def test_audit_requires_recording(self):
         service = AllocationService(ServiceConfig(record_decisions=False))
         service.open_session(_key(0), "sw3")
@@ -248,6 +267,42 @@ class TestInstrumentation:
         assert not counters.dispatch_log  # bounded by construction
         summary = counters.summary()
         assert summary["drained_decisions"] == 60
+
+    def test_one_drain_hook_per_group_block(self):
+        class HookCounts(Instrumentation):
+            def __init__(self):
+                self.calls = Counter()
+
+            def on_run_start(self, *args):
+                self.calls["on_run_start"] += 1
+
+            def on_run_end(self, *args):
+                self.calls["on_run_end"] += 1
+
+            def on_batch(self, *args):
+                self.calls["on_batch"] += 1
+
+            def on_shard_drain(self, *args):
+                self.calls["on_shard_drain"] += 1
+
+        hooks = HookCounts()
+        service = AllocationService(
+            ServiceConfig(num_shards=4), instrumentation=hooks
+        )
+        keys = [_key(i) for i in range(60)]
+        for index, key in enumerate(keys):
+            service.open_session(key, ("sw3", "t1_4", "st1")[index % 3])
+        plan = service.plan_block(keys)
+        groups = len(plan.segments)
+        assert groups > 3
+        service.submit_block(plan, np.ones((60, 9), dtype=bool))
+        assert hooks.calls == {"on_shard_drain": groups}
+        # A queued drain of one group and a serve_one: one hook each.
+        for _ in range(3):
+            service.submit(keys[0], READ)
+        service.drain_all()
+        service.serve_one(keys[0], WRITE)
+        assert hooks.calls == {"on_shard_drain": groups + 2}
 
     def test_metrics_reports_occupancy(self):
         service = AllocationService(ServiceConfig(num_shards=4))
