@@ -78,8 +78,9 @@ def test_sweep_warm_cache(benchmark, tmp_path):
     assert all(outcome.from_cache for outcome in outcomes)
 
 
-def test_shared_memory_schedule_transfer(benchmark):
-    """One concrete 200k-request schedule shared by 8 tasks via SHM."""
+def test_concrete_schedule_transfer(benchmark):
+    """One concrete 200k-request schedule shared by 8 tasks, shipped to
+    the workers as a packed mask in each chunk."""
     from repro.workload import bernoulli_schedule
 
     schedule = bernoulli_schedule(0.4, 200_000, rng=11)

@@ -308,7 +308,7 @@ def run_batched_masks(
     """Execute one batch group straight from a ``(B, N)`` write matrix.
 
     The mask-level entry point: sweep workers that already hold write
-    masks (from a shared-memory arena or a seeded generator recipe)
+    masks (unpacked from a sweep chunk or drawn from a seeded recipe)
     skip building ``Request`` objects entirely — which is where the
     batched path's large speedup over per-schedule execution comes
     from.  ``cost_models[b]`` prices row ``b``; models may differ

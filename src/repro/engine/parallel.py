@@ -9,13 +9,12 @@ such a grid is one independent, deterministic engine run.  The
   ``ProcessPoolExecutor``; ``jobs=1`` is the serial degenerate case
   (no pool, no pickling) and produces *the same bytes* as any other
   job count, which the determinism suite enforces.
-* **Shared-memory schedules.**  Concrete :class:`~repro.types.Schedule`
-  objects are deduplicated by content digest and their write masks
-  (plus timestamps, when present) are placed once in a
-  ``multiprocessing.shared_memory`` block — a million-request schedule
-  crosses the process boundary as a 128-byte reference, not a pickled
-  tuple of a million ``Request`` objects, no matter how many grid
-  points share it.
+* **Packed schedules.**  Concrete :class:`~repro.types.Schedule`
+  objects are deduplicated by content digest and cross the process
+  boundary in the chunk payload as a bit-packed write mask (plus
+  timestamps and object sets only when present) — a million-request
+  schedule ships as 125 KB once per chunk, not as a pickled tuple of a
+  million ``Request`` objects, no matter how many grid points share it.
 * **Per-grid-point seeding.**  A :class:`ScheduleSpec` defers workload
   generation to the worker; specs seeded with spawned
   ``SeedSequence`` children (:mod:`repro.workload.seeding`) draw
@@ -43,13 +42,13 @@ optimizer agreement trials).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import os
 import time
 import typing
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -57,7 +56,7 @@ import numpy as np
 from .._version import __version__
 from ..costmodels.base import CostEventKind, CostModel
 from ..exceptions import InvalidParameterError
-from ..types import Operation, Request, Schedule, ensure_integer
+from ..types import Operation, Request, Schedule, ensure_integer, write_bits
 from ..workload.poisson import bernoulli_mask, bernoulli_schedule
 from ..workload.seeding import SeedLike, seed_fingerprint
 from ..core.packed import pack_write_masks
@@ -200,10 +199,11 @@ class EngineTask:
     """One :func:`repro.engine.run` invocation, sweep-ready.
 
     ``schedule`` is a concrete :class:`~repro.types.Schedule` (shipped
-    via shared memory) or a :class:`ScheduleSpec` (generated in the
-    worker).  ``capture_kinds``/``capture_wire`` opt into the heavier
-    projections a caller actually needs — the per-request event-kind
-    tuple and the protocol run's ledger/overhead books.  ``tag`` is an
+    to workers as packed bits) or a :class:`ScheduleSpec` /
+    :class:`ScenarioSpec` (generated in the worker).
+    ``capture_kinds``/``capture_wire`` opt into the heavier projections
+    a caller actually needs — the per-request event-kind tuple and the
+    protocol run's ledger/overhead books.  ``tag`` is an
     opaque caller label carried onto the outcome, never part of the
     cache key.
     """
@@ -526,208 +526,90 @@ def _execute_engine_tasks(entries, counters) -> List[Tuple[int, SweepOutcome]]:
     return [(index, outcomes[index]) for index, _task, _source in entries]
 
 
-def _task_sources(task: EngineTask, schedule) -> Tuple[Callable, Callable, int]:
-    """(schedule thunk, mask thunk, length) for an in-process schedule."""
-    if isinstance(schedule, _SPEC_TYPES):
-        return schedule.build, schedule.build_mask, schedule.length
-    return (lambda: schedule), schedule.write_mask, len(schedule)
+class _WireSchedule:
+    """A concrete schedule in its chunk-payload form.
 
-
-#: Placeholder installed in a task's ``schedule`` field before pickling
-#: so a concrete schedule never rides the task payload.
-_SHIPPED = "<schedule shipped separately>"
-
-
-def _worker_sources(sched_ref, shm, shm_cache):
-    """Lazy (schedule thunk, mask thunk, length) for a shipped reference.
-
-    The mask thunk of an arena schedule reads the shared-memory bytes
-    directly — a batched task never rebuilds ``Request`` objects from
-    the arena, only fallback tasks pay that reconstruction.
+    The write mask travels bit-packed (1 bit a request); timestamps
+    travel only when some request carries one, and object sets only
+    when some request names objects.  It answers the same
+    ``build()`` / ``build_mask()`` / ``length`` surface as the specs.
+    ``build()`` is memoized, so the fallback tasks of one chunk that
+    share a schedule rebuild its ``Request`` objects once.
     """
-    kind, value = sched_ref
-    if kind == "spec":
-        return value.build, value.build_mask, value.length
-    if kind == "inline":
-        return (lambda: value), value.write_mask, len(value)
-    if kind == "arena":
-        def schedule_thunk(value=value):
-            if value not in shm_cache:
-                shm_cache[value] = _schedule_from_arena(shm, value)
-            return shm_cache[value]
 
-        def mask_thunk(value=value):
-            return _mask_from_arena(shm, value)
+    def __init__(self, schedule: Schedule):
+        self.length = len(schedule)
+        self.bits = np.packbits(write_bits(schedule))
+        self.timestamps = None
+        if any(request.timestamp for request in schedule):
+            self.timestamps = np.fromiter(
+                (request.timestamp for request in schedule),
+                dtype=np.float64,
+                count=self.length,
+            )
+        self.objects = None
+        if any(request.objects for request in schedule):
+            self.objects = tuple(request.objects for request in schedule)
+        self._built: Optional[Schedule] = None
 
-        return schedule_thunk, mask_thunk, shm.entries[value][0]
-    raise InvalidParameterError(f"unknown schedule reference {kind!r}")
+    def build_mask(self) -> np.ndarray:
+        return np.unpackbits(self.bits, count=self.length).view(bool)
+
+    def build(self) -> Schedule:
+        if self._built is None:
+            mask = self.build_mask()
+            times = (self.timestamps.tolist() if self.timestamps is not None
+                     else itertools.repeat(0.0))
+            objects = (self.objects if self.objects is not None
+                       else itertools.repeat(()))
+            schedule = Schedule(
+                Request(Operation.WRITE if is_write else Operation.READ,
+                        timestamp, names)
+                for is_write, timestamp, names in zip(
+                    mask.tolist(), times, objects
+                )
+            )
+            schedule._prefill_write_mask(mask)
+            self._built = schedule
+        return self._built
 
 
-def _run_chunk(payload):
-    """Worker entry: execute one chunk, return (results, worker stats)."""
-    shm_name, entries, items = payload
-    shm = None
-    if shm_name is not None:
-        shm = _attach_shared_memory(shm_name)
-        shm.entries = entries  # stashed for _schedule_from_arena
+def _task_sources(schedule) -> Tuple[Callable, Callable, int]:
+    """(schedule thunk, mask thunk, length) for any task schedule.
+
+    The mask thunk never builds ``Request`` objects, so a batched task
+    resolves only its write mask; fallback tasks call the schedule
+    thunk.
+    """
+    if isinstance(schedule, Schedule):
+        return (lambda: schedule), schedule.write_mask, len(schedule)
+    return schedule.build, schedule.build_mask, schedule.length
+
+
+def _run_chunk(items):
+    """Execute one chunk of ``(index, task)`` pairs in this process.
+
+    The workers and the serial path both run it.  Returns the
+    ``(index, result)`` pairs and this chunk's instrumentation stats.
+    """
     counters = CounterInstrumentation()
     started = time.perf_counter()
-    shm_cache: Dict[int, Schedule] = {}
     results = []
     engine_entries = []
     calls = 0
-    try:
-        for index, task, sched_ref in items:
-            if isinstance(task, FunctionTask):
-                calls += 1
-                value = task.fn(*task.args, **dict(task.kwargs))
-                results.append((index, value))
-            else:
-                engine_entries.append(
-                    (index, task, _worker_sources(sched_ref, shm, shm_cache))
-                )
-        results.extend(
-            _execute_engine_tasks(engine_entries, counters)
-        )
-    finally:
-        if shm is not None:
-            shm.close()
+    for index, task in items:
+        if isinstance(task, FunctionTask):
+            calls += 1
+            results.append((index, task.fn(*task.args, **dict(task.kwargs))))
+        else:
+            engine_entries.append((index, task, _task_sources(task.schedule)))
+    results.extend(_execute_engine_tasks(engine_entries, counters))
     stats = counters.summary()
     stats["pid"] = os.getpid()
     stats["tasks"] = len(items)
     stats["function_calls"] = calls
     stats["wall_seconds"] = time.perf_counter() - started
     return results, stats
-
-
-def _attach_shared_memory(name: str):
-    """Attach to the arena without registering with the resource tracker.
-
-    On Python < 3.13 an *attach* registers the block as if this process
-    created it; with forked workers sharing the parent's tracker that
-    produces duplicate register/unregister races (KeyError tracebacks
-    in the tracker) and spurious unlinks of a block the parent owns.
-    Only the creating parent may track and unlink, so registration is
-    suppressed for the duration of the attach.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        original = resource_tracker.register
-
-        def _register(res_name, rtype):  # pragma: no cover - py<3.13 path
-            if rtype != "shared_memory":
-                original(res_name, rtype)
-
-        resource_tracker.register = _register
-        try:
-            return shared_memory.SharedMemory(name=name)
-        finally:
-            resource_tracker.register = original
-    except ImportError:  # pragma: no cover - platform without a tracker
-        return shared_memory.SharedMemory(name=name)
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory schedule arena
-# ---------------------------------------------------------------------------
-
-
-def _align8(offset: int) -> int:
-    return (offset + 7) & ~7
-
-
-def _mask_from_arena(shm, entry_index: int) -> np.ndarray:
-    """Just the write mask of an arena schedule, no request objects."""
-    length, mask_offset, _ts_offset = shm.entries[entry_index]
-    return np.ndarray(
-        (length,), dtype=np.uint8, buffer=shm.buf, offset=mask_offset
-    ).astype(bool)
-
-
-def _schedule_from_arena(shm, entry_index: int) -> Schedule:
-    length, mask_offset, ts_offset = shm.entries[entry_index]
-    mask = np.ndarray(
-        (length,), dtype=np.uint8, buffer=shm.buf, offset=mask_offset
-    ).astype(bool)
-    if ts_offset >= 0:
-        times = np.ndarray(
-            (length,), dtype=np.float64, buffer=shm.buf, offset=ts_offset
-        )
-        requests = [
-            Request(
-                Operation.WRITE if is_write else Operation.READ,
-                timestamp=float(timestamp),
-            )
-            for is_write, timestamp in zip(mask, times)
-        ]
-    else:
-        requests = [
-            Request(Operation.WRITE if is_write else Operation.READ)
-            for is_write in mask
-        ]
-    schedule = Schedule(requests)
-    schedule._prefill_write_mask(mask)
-    return schedule
-
-
-class _ScheduleArena:
-    """Distinct schedules packed once into one shared-memory block."""
-
-    def __init__(self, schedules: Sequence[Schedule]):
-        self.entries: List[Tuple[int, int, int]] = []
-        layouts = []
-        offset = 0
-        for schedule in schedules:
-            length = len(schedule)
-            timestamps = None
-            if any(request.timestamp for request in schedule):
-                timestamps = np.fromiter(
-                    (request.timestamp for request in schedule),
-                    dtype=np.float64,
-                    count=length,
-                )
-            mask_offset = offset
-            offset += length
-            ts_offset = -1
-            if timestamps is not None:
-                ts_offset = _align8(offset)
-                offset = ts_offset + 8 * length
-            else:
-                offset = _align8(offset)
-            layouts.append((schedule, timestamps, mask_offset, ts_offset))
-            self.entries.append((length, mask_offset, ts_offset))
-        self.shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
-        for schedule, timestamps, mask_offset, ts_offset in layouts:
-            length = len(schedule)
-            mask_view = np.ndarray(
-                (length,), dtype=np.uint8, buffer=self.shm.buf,
-                offset=mask_offset,
-            )
-            mask_view[:] = schedule.write_mask_u8()
-            if timestamps is not None:
-                ts_view = np.ndarray(
-                    (length,), dtype=np.float64, buffer=self.shm.buf,
-                    offset=ts_offset,
-                )
-                ts_view[:] = timestamps
-
-    @property
-    def name(self) -> str:
-        return self.shm.name
-
-    def destroy(self) -> None:
-        self.shm.close()
-        self.shm.unlink()
-
-
-def _shippable_via_arena(schedule: Schedule) -> bool:
-    """Whether the arena encoding is lossless for this schedule.
-
-    The arena carries operations + timestamps; a schedule whose
-    requests name objects (the multi-object model) must travel inline.
-    """
-    return not any(request.objects for request in schedule)
 
 
 # ---------------------------------------------------------------------------
@@ -847,94 +729,41 @@ class SweepExecutor:
     # -- execution paths -----------------------------------------------
 
     def _execute_serial(self, tasks, pending, results) -> None:
-        counters = CounterInstrumentation()
-        started = time.perf_counter()
-        calls = 0
-        engine_entries = []
-        for index in pending:
-            task = tasks[index]
-            if isinstance(task, FunctionTask):
-                calls += 1
-                results[index] = task.fn(*task.args, **dict(task.kwargs))
-            else:
-                engine_entries.append(
-                    (index, task, _task_sources(task, task.schedule))
-                )
-        for index, outcome in _execute_engine_tasks(engine_entries, counters):
+        chunk_results, stats = _run_chunk(
+            [(index, tasks[index]) for index in pending]
+        )
+        for index, outcome in chunk_results:
             results[index] = outcome
-        stats = counters.summary()
-        stats["pid"] = os.getpid()
-        stats["tasks"] = len(pending)
-        stats["function_calls"] = calls
-        stats["wall_seconds"] = time.perf_counter() - started
         self._absorb_worker(stats)
 
     def _execute_parallel(self, tasks, pending, results, chunk_size) -> None:
-        arena, items = self._pack(tasks, pending)
+        items = _pack(tasks, pending)
         size = chunk_size or self.chunk_size
         if size is None:
             size = max(1, math.ceil(len(items) / (self.jobs * 4)))
         chunks = [items[start:start + size]
                   for start in range(0, len(items), size)]
-        shm_name = arena.name if arena is not None else None
-        entries = arena.entries if arena is not None else []
         workers = min(self.jobs, len(chunks))
-        try:
-            with ProcessPoolExecutor(
-                max_workers=workers, initializer=_single_kernel_thread
-            ) as pool:
-                futures = [
-                    pool.submit(_run_chunk, (shm_name, entries, chunk))
-                    for chunk in chunks
-                ]
-                outstanding = set(futures)
-                failure: Optional[BaseException] = None
-                while outstanding:
-                    done, outstanding = wait(
-                        outstanding, return_when=FIRST_COMPLETED
-                    )
-                    for future in done:
-                        try:
-                            chunk_results, stats = future.result()
-                        except BaseException as error:
-                            failure = failure or error
-                            continue
-                        for index, outcome in chunk_results:
-                            results[index] = outcome
-                        self._absorb_worker(stats)
-                if failure is not None:
-                    raise failure
-        finally:
-            if arena is not None:
-                arena.destroy()
-
-    def _pack(self, tasks, pending):
-        """Build the shared-memory arena and the per-task payloads."""
-        arena_index: Dict[str, int] = {}
-        arena_schedules: List[Schedule] = []
-        items = []
-        for index in pending:
-            task = tasks[index]
-            if isinstance(task, FunctionTask):
-                items.append((index, task, None))
-                continue
-            schedule = task.schedule
-            if isinstance(schedule, _SPEC_TYPES):
-                sched_ref = ("spec", schedule)
-            elif not _shippable_via_arena(schedule):
-                sched_ref = ("inline", schedule)
-            else:
-                digest = schedule.content_digest()
-                if digest not in arena_index:
-                    arena_index[digest] = len(arena_schedules)
-                    arena_schedules.append(schedule)
-                sched_ref = ("arena", arena_index[digest])
-            items.append(
-                (index, dataclasses.replace(task, schedule=_SHIPPED),
-                 sched_ref)
-            )
-        arena = _ScheduleArena(arena_schedules) if arena_schedules else None
-        return arena, items
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_single_kernel_thread
+        ) as pool:
+            outstanding = {pool.submit(_run_chunk, chunk) for chunk in chunks}
+            failure: Optional[BaseException] = None
+            while outstanding:
+                done, outstanding = wait(
+                    outstanding, return_when=FIRST_COMPLETED
+                )
+                for future in done:
+                    try:
+                        chunk_results, stats = future.result()
+                    except BaseException as error:
+                        failure = failure or error
+                        continue
+                    for index, outcome in chunk_results:
+                        results[index] = outcome
+                    self._absorb_worker(stats)
+            if failure is not None:
+                raise failure
 
     def _absorb_worker(self, stats: Dict[str, Any]) -> None:
         pid = stats.get("pid", 0)
@@ -943,6 +772,27 @@ class SweepExecutor:
             self.workers[pid] = dict(stats)
         else:
             self.workers[pid] = _merge_summaries([known, stats], pid=pid)
+
+
+def _pack(tasks, pending) -> List[Tuple[int, SweepTask]]:
+    """The ``(index, task)`` payload of each pending task.
+
+    Each concrete schedule is swapped for one :class:`_WireSchedule`
+    per distinct content digest, so pickle's memo sends it once per
+    chunk however many of the chunk's tasks share it.
+    """
+    wires: Dict[str, _WireSchedule] = {}
+    items = []
+    for index in pending:
+        task = tasks[index]
+        if isinstance(task, EngineTask) and isinstance(task.schedule,
+                                                       Schedule):
+            digest = task.schedule.content_digest()
+            if digest not in wires:
+                wires[digest] = _WireSchedule(task.schedule)
+            task = dataclasses.replace(task, schedule=wires[digest])
+        items.append((index, task))
+    return items
 
 
 def _revive(task: SweepTask, payload: Any) -> Any:

@@ -137,7 +137,7 @@ class _Group:
 
     __slots__ = (
         "spec", "carry_length", "size", "keys", "models",
-        "carry", "counts", "served", "copy", "history",
+        "carry", "counts", "copy", "history",
     )
 
     def __init__(self, spec: AlgorithmSpec):
@@ -149,14 +149,13 @@ class _Group:
         capacity = 16
         self.carry = np.empty((capacity, self.carry_length), dtype=bool)
         self.counts = np.zeros((capacity, len(EVENT_KIND_ORDER)), dtype=np.int64)
-        self.served = np.zeros(capacity, dtype=np.int64)
         self.copy = np.zeros(capacity, dtype=bool)
         #: Decision log: (rows, writes bool (b, n), codes int8 (b, n)).
         self.history: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     def _grow(self) -> None:
         capacity = self.carry.shape[0] * 2
-        for name in ("carry", "counts", "served", "copy"):
+        for name in ("carry", "counts", "copy"):
             old = getattr(self, name)
             shape = (capacity,) + old.shape[1:]
             fresh = np.zeros(shape, dtype=old.dtype)
@@ -172,7 +171,6 @@ class _Group:
         self.models.append(model)
         self.carry[row] = self.spec.initial_carry()
         self.counts[row] = 0
-        self.served[row] = 0
         self.copy[row] = self.spec.initial_mobile_has_copy
         return row
 
@@ -395,7 +393,6 @@ class AllocationService:
             group.spec.name, full, carry_length
         )
         group.counts[rows] += counts
-        group.served[rows] += length
         group.copy[rows] = copy
         if carry_length:
             group.carry[rows] = full[:, -carry_length:]
@@ -569,7 +566,7 @@ class AllocationService:
             "key": str(key),
             "algorithm": group.spec.name,
             "shard": shard_index,
-            "decisions": int(group.served[row]),
+            "decisions": int(group.counts[row].sum()),
             "mobile_has_copy": bool(group.copy[row]),
             "event_counts": {kind.value: n for kind, n in counts.items()},
             "total_cost": total_from_counts(counts, group.models[row]),

@@ -238,15 +238,6 @@ class Schedule(Sequence[Request]):
             self._write_mask = mask
         return self._write_mask
 
-    def write_mask_u8(self) -> np.ndarray:
-        """The cached write mask as a zero-copy ``uint8`` view.
-
-        Shared-memory packing and the batched kernels want byte-typed
-        data; ``bool_`` and ``uint8`` share a memory layout, so this is
-        the same cached buffer reinterpreted, not a conversion.
-        """
-        return self.write_mask().view(np.uint8)
-
     def _prefill_write_mask(self, mask: np.ndarray) -> None:
         """Install a precomputed write mask (workload generators only).
 
@@ -330,7 +321,7 @@ def write_bits(schedule) -> np.ndarray:
 
     For a :class:`Schedule` this is the cached (immutable) mask; for a
     bare sequence of requests it is computed on the fly.  Every mask
-    consumer — the batched kernels, the shared-memory arena, the
+    consumer — the batched kernels, the sweep executor's wire form, the
     protocol verifier — goes through here so the uint8/bool conversion
     exists in exactly one place.
     """

@@ -6,6 +6,7 @@ content-addressed cache, and at the run-all and CLI layers.
 """
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -19,10 +20,11 @@ from repro.engine import (
     SweepExecutor,
     serial_executor,
 )
-from repro.engine.parallel import _task_key
+from repro.engine.parallel import _pack, _task_key, _WireSchedule
 from repro.exceptions import InvalidParameterError
 from repro.sim.faults import FaultConfig
-from repro.workload import bernoulli_schedule, spawn_seeds
+from repro.types import Operation, Request, Schedule
+from repro.workload import PoissonWorkload, bernoulli_schedule, spawn_seeds
 
 MODEL = ConnectionCostModel()
 
@@ -75,7 +77,7 @@ class TestParallelEqualsSerial:
         )
 
     @pytest.mark.parametrize("jobs", [2, 4])
-    def test_shared_memory_schedules(self, jobs):
+    def test_concrete_schedules(self, jobs):
         schedule = bernoulli_schedule(0.4, 3_000, rng=11)
         tasks = [
             EngineTask(name, schedule, MODEL, tag=name)
@@ -114,13 +116,23 @@ class TestParallelEqualsSerial:
         assert all(o.wire is not None for o in parallel)
         assert all(o.event_kinds is not None for o in parallel)
 
-    def test_timestamped_schedules_cross_shared_memory(self):
-        from repro.workload import PoissonWorkload
-
+    def test_timestamped_schedules_cross_the_pool(self):
         schedule = PoissonWorkload(3.0, 1.0, seed=5).generate(600)
         tasks = [
             EngineTask(name, schedule, MODEL, backend="protocol", tag=name)
             for name in ("sw1", "sw5", "st1")
+        ]
+        assert _identities(serial_executor().map(tasks)) == _identities(
+            SweepExecutor(jobs=2).map(tasks)
+        )
+
+    def test_multi_object_schedules(self):
+        schedule = _multi_object_schedule()
+        tasks = [
+            EngineTask(name, schedule, MODEL, backend=backend,
+                       tag=(name, backend))
+            for name in ("sw1", "sw5", "t1_2")
+            for backend in ("auto", "reference", "protocol")
         ]
         assert _identities(serial_executor().map(tasks)) == _identities(
             SweepExecutor(jobs=2).map(tasks)
@@ -151,6 +163,48 @@ class TestParallelEqualsSerial:
     def test_invalid_jobs_rejected(self):
         with pytest.raises(InvalidParameterError):
             SweepExecutor(jobs=0)
+
+
+def _multi_object_schedule(length=600, seed=3):
+    rng = np.random.default_rng(seed)
+    names = (("x",), ("x", "y"), ("y",))
+    return Schedule(
+        Request(
+            Operation.WRITE if rng.random() < 0.4 else Operation.READ,
+            objects=names[rng.integers(len(names))],
+        )
+        for _ in range(length)
+    )
+
+
+class TestWireSchedule:
+    @pytest.mark.parametrize("make", [
+        lambda: bernoulli_schedule(0.3, 1_001, rng=4),
+        lambda: PoissonWorkload(3.0, 1.0, seed=5).generate(600),
+        _multi_object_schedule,
+        lambda: Schedule(),
+    ], ids=["bernoulli", "timestamped", "multi-object", "empty"])
+    def test_round_trip(self, make):
+        schedule = make()
+        wire = pickle.loads(pickle.dumps(_WireSchedule(schedule)))
+        assert wire.length == len(schedule)
+        assert np.array_equal(wire.build_mask(), schedule.write_mask())
+        rebuilt = wire.build()
+        assert rebuilt.content_digest() == schedule.content_digest()
+        assert list(rebuilt) == list(schedule)
+        assert wire.build() is rebuilt
+
+    def test_shared_schedule_ships_once_per_chunk(self):
+        """Eight tasks sharing a 200k-request schedule pickle to one
+        packed mask (25 KB), not 200k ``Request`` objects."""
+        schedule = bernoulli_schedule(0.4, 200_000, rng=11)
+        tasks = [
+            EngineTask(name, schedule, MODEL, tag=name)
+            for name in ("st1", "st2", "sw1", "sw5", "sw9", "sw15",
+                         "t1_4", "t2_3")
+        ]
+        payload = pickle.dumps(_pack(tasks, range(len(tasks))))
+        assert len(payload) < 64 * 1024
 
 
 class TestInstrumentationAggregation:

@@ -103,7 +103,7 @@ def _check(service, keys, reference):
         filled[rows] += block_codes.shape[1]
     by_split = (len(SPLITS), len(MASKS))
     assert np.array_equal(logged, np.broadcast_to(codes, logged.shape))
-    assert (group.served[: group.size] == LENGTH).all()
+    assert (group.counts[: group.size].sum(axis=1) == LENGTH).all()
     assert np.array_equal(
         group.counts[: group.size].reshape(by_split + (-1,)),
         np.broadcast_to(counts, by_split + counts.shape[1:]),
@@ -116,6 +116,7 @@ def _check(service, keys, reference):
     for split_keys in keys:
         for row in range(0, len(MASKS), 37):
             info = service.session_info(split_keys[row])
+            assert info["decisions"] == LENGTH
             assert info["total_cost"] == totals[row]
 
 
