@@ -18,11 +18,8 @@ from typing import Iterable, List, Optional, Sequence
 
 from ..core.base import AllocationAlgorithm
 from ..core.offline import OfflineOptimal
-from ..core.registry import make_algorithm
 from ..costmodels.base import CostModel
-from ..engine import execute_batch
 from ..engine import run as engine_run
-from ..engine.base import RunSpec
 from ..exceptions import InvalidParameterError
 from ..types import Schedule
 
@@ -89,32 +86,15 @@ def ratio_over_family(
 ) -> List[CompetitiveMeasurement]:
     """Measure the ratio on every schedule of a family.
 
-    The online side goes through :func:`repro.engine.execute_batch`:
-    schedules of the same length share one batched kernel launch, and
-    anything the kernels cannot take (stateful estimators, uncovered
-    algorithms) falls back per-schedule to ordinary dispatch — either
-    way each cost is byte-identical to a lone engine run.  The offline
-    DP stays per-schedule; it is inherently sequential in the schedule.
+    The online side is one streamed :func:`repro.engine.run` per
+    schedule, which auto dispatch sends to the batched kernels as a
+    batch of one whenever they cover the algorithm.  The offline DP
+    stays per-schedule; it is inherently sequential in the schedule.
     """
     offline = OfflineOptimal(cost_model)
-    schedules = list(schedules)
-    if isinstance(algorithm, str):
-        name = algorithm.strip().lower()
-        instance: AllocationAlgorithm = make_algorithm(name)
-    else:
-        instance, name = algorithm, algorithm.name
-    specs = [
-        RunSpec(
-            algorithm=instance,
-            algorithm_name=name,
-            schedule=schedule,
-            cost_model=cost_model,
-            stream=True,
-        )
-        for schedule in schedules
-    ]
     measurements = []
-    for schedule, online in zip(schedules, execute_batch(specs)):
+    for schedule in schedules:
+        online = engine_run(algorithm, schedule, cost_model, stream=True)
         optimal_cost = offline.optimal_cost(schedule)
         if optimal_cost - online.total_cost > 1e-9:
             raise InvalidParameterError(

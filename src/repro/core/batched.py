@@ -38,7 +38,7 @@ import numpy as np
 from ..costmodels.base import EVENT_KIND_ORDER, CostModel
 from ..costmodels.message import MessageCostModel
 from ..exceptions import InvalidParameterError, UnknownAlgorithmError
-from ..types import Schedule, ensure_odd_window, ensure_warmup, write_bits
+from ..types import ensure_odd_window, ensure_warmup
 from .packed import (
     _LOCAL_READ,
     _REMOTE_READ,
@@ -53,7 +53,6 @@ from .packed import (
 from .session import ensure_threshold
 
 __all__ = [
-    "stack_write_masks",
     "batched_run_arrays",
     "batched_counts",
     "batched_totals",
@@ -67,39 +66,16 @@ _NUM_KINDS = len(EVENT_KIND_ORDER)
 
 
 def supports(algorithm_name: str) -> bool:
-    """Whether the kernels cover this algorithm (see :func:`kernel_spec`)."""
+    """Whether the kernels cover this algorithm (see :func:`kernel_spec`).
+
+    True exactly for the session-hostable names
+    (:func:`~repro.core.session.parse_algorithm_name`).
+    """
     try:
         kernel_spec(algorithm_name)
     except UnknownAlgorithmError:
         return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# Stacking
-# ---------------------------------------------------------------------------
-
-
-def stack_write_masks(schedules: Sequence[Schedule]) -> np.ndarray:
-    """Stack same-length schedules into a ``(B, N)`` boolean matrix.
-
-    Raises :class:`~repro.exceptions.InvalidParameterError` on a ragged
-    batch — callers that may hold mixed lengths group by length first
-    (see :func:`repro.engine.batched.execute_batch`).
-    """
-    schedules = list(schedules)
-    if not schedules:
-        return np.empty((0, 0), dtype=bool)
-    lengths = {len(schedule) for schedule in schedules}
-    if len(lengths) != 1:
-        raise InvalidParameterError(
-            f"cannot stack a ragged batch; lengths {sorted(lengths)}"
-        )
-    length = lengths.pop()
-    writes = np.empty((len(schedules), length), dtype=bool)
-    for row, schedule in enumerate(schedules):
-        writes[row] = write_bits(schedule)
-    return writes
 
 
 def _as_matrix(writes: np.ndarray) -> np.ndarray:

@@ -8,7 +8,8 @@ byte (:class:`PackedMasks`, ``np.packbits`` layout, 3.2 MB for the
 same grid) and evaluates the hot aggregations *directly on the packed
 bytes* with popcounts:
 
-* per-kind event **counts** for ST1/ST2/SW1/SWk are boolean
+* per-kind event **counts** for ST1/ST2/SW1/SWk (including the
+  unoptimized k = 1 window, ``sw1-unoptimized``) are boolean
   combinations of the write mask, the replica flags and their
   one-request shift — each combination is a masked popcount over
   ``N/8`` bytes instead of a ``(B, N)`` int64 code materialization
@@ -165,11 +166,7 @@ class PackedMasks:
 
 
 def pack_write_masks(writes: np.ndarray) -> PackedMasks:
-    """Pack a ``(B, N)`` bool matrix 8-per-byte.
-
-    Schedules stack first through
-    :func:`repro.core.batched.stack_write_masks`.
-    """
+    """Pack a ``(B, N)`` bool matrix 8-per-byte."""
     return PackedMasks.from_bool(writes)
 
 
@@ -177,12 +174,14 @@ def kernel_spec(algorithm_name: str) -> AlgorithmSpec:
     """Parse a kernel-covered algorithm name; raise if no kernel covers it.
 
     Raises :class:`~repro.exceptions.UnknownAlgorithmError` for uncovered
-    names.  The kernels cover every session-hostable family except
-    ``sw1-unoptimized``; the estimators and the adaptive allocator carry
-    sequential state and stay on the reference replay.
+    names.  The kernels cover exactly the session-hostable families —
+    ``sw1-unoptimized`` is SWk at k = 1 — so every algorithm the
+    allocation service can host, the kernels can decide; the estimators
+    and the adaptive allocator carry sequential state and stay on the
+    reference replay.
     """
     spec = parse_algorithm_name(algorithm_name)
-    if spec is None or spec.name == "sw1-unoptimized":
+    if spec is None:
         raise UnknownAlgorithmError(
             f"no kernel for {algorithm_name!r}; use repro.engine"
         )

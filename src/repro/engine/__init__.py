@@ -2,7 +2,8 @@
 
 Every way of executing a schedule — the reference object replay, the
 discrete-event wire protocol and the batched ``(B, N)`` numpy kernels —
-sits behind one dispatching entry point::
+sits behind one dispatching entry point (:mod:`repro.engine.dispatch`
+holds the three backends and the one routing rule)::
 
     from repro import engine
     from repro.costmodels import ConnectionCostModel
@@ -13,8 +14,11 @@ sits behind one dispatching entry point::
     print(result.backend_name, result.mean_cost)
 
 ``backend="auto"`` routes to the batched kernels (a single run is a
-batch of one) whenever they cover the algorithm and falls back to the
-reference replay otherwise;
+batch of one) whenever they cover the algorithm — every
+session-hostable family — and falls back to the reference replay
+otherwise; the sweep executor consults the same rule before grouping
+runs for :func:`run_batched_masks`, and the allocation service drains
+through :func:`run_batched_columns`;
 ``stream=True`` aggregates without materializing a per-request event
 tuple.  All backends thread the same
 :mod:`~repro.engine.instrumentation` hooks and are bound by the
@@ -25,11 +29,7 @@ classification, enforced by the cross-backend equivalence tests.
 from .base import (
     BackendDiagnostic,
     EngineResult,
-    ExecutionBackend,
     RunSpec,
-    available_backends,
-    get_backend,
-    register_backend,
     total_from_counts,
 )
 from .cache import (
@@ -39,15 +39,9 @@ from .cache import (
     default_cache_dir,
     digest_parts,
 )
-from .dispatch import AUTO, run
+from .dispatch import AUTO, BatchedBackend, run, run_batched_masks
 from ..core.packed import PackedMasks, pack_write_masks
-from .batched import (
-    BatchSpec,
-    BatchedBackend,
-    execute_batch,
-    run_batched_columns,
-    run_batched_masks,
-)
+from .batched import run_batched_columns
 from .parallel import (
     EngineTask,
     FunctionTask,
@@ -66,21 +60,12 @@ from .instrumentation import (
 )
 from .versioning import INITIAL_VALUE, INITIAL_VERSION, value_for_write
 
-# Importing the backends module registers the reference and protocol
-# backends (the batched module, imported above, registers the batched
-# backend after them).
-from . import backends as _backends  # noqa: F401  (import for side effect)
-
 __all__ = [
     "AUTO",
     "run",
     "BackendDiagnostic",
     "EngineResult",
-    "ExecutionBackend",
     "RunSpec",
-    "available_backends",
-    "get_backend",
-    "register_backend",
     "total_from_counts",
     "Instrumentation",
     "CounterInstrumentation",
@@ -94,10 +79,8 @@ __all__ = [
     "default_cache",
     "default_cache_dir",
     "digest_parts",
-    "BatchSpec",
     "BatchedBackend",
     "PackedMasks",
-    "execute_batch",
     "pack_write_masks",
     "run_batched_columns",
     "run_batched_masks",

@@ -1,14 +1,15 @@
-"""Execution-backend contract and the uniform run result.
+"""The run spec and the uniform run result every backend returns.
 
-An :class:`ExecutionBackend` turns one ``(algorithm, schedule, cost
-model)`` triple into an :class:`EngineResult`.  Three implementations
-register at import time (see :mod:`repro.engine.backends` and
-:mod:`repro.engine.batched`): the reference object replay, the
-two-node wire-protocol simulator and the numpy batched kernels.  The
-central invariant of the repository — every backend classifies every
-request into the *identical* :class:`~repro.costmodels.base.CostEventKind`
-— is what makes them interchangeable, and is enforced by the
-cross-backend equivalence test (``tests/test_engine.py``).
+A backend turns one :class:`RunSpec` — an ``(algorithm, schedule,
+cost model)`` triple plus run options — into an :class:`EngineResult`.
+The three backends (the reference object replay, the two-node
+wire-protocol simulator and the numpy batched kernels) live in
+:mod:`repro.engine.dispatch` next to the one rule that picks among
+them.  The central invariant of the repository — every backend
+classifies every request into the *identical*
+:class:`~repro.costmodels.base.CostEventKind` — is what makes them
+interchangeable, and is enforced by the cross-backend equivalence test
+(``tests/test_engine.py``).
 
 Totals are computed identically in every backend — per-kind counts
 dotted with per-kind prices, in
@@ -19,10 +20,9 @@ floating-point sums.
 
 from __future__ import annotations
 
-import abc
 import typing
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..core.base import AllocationAlgorithm
 from ..costmodels.base import (
@@ -31,7 +31,6 @@ from ..costmodels.base import (
     CostEventKind,
     CostModel,
 )
-from ..exceptions import InvalidParameterError
 from ..types import AllocationScheme, Schedule
 
 if typing.TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -41,10 +40,6 @@ __all__ = [
     "RunSpec",
     "EngineResult",
     "BackendDiagnostic",
-    "ExecutionBackend",
-    "register_backend",
-    "get_backend",
-    "available_backends",
     "total_from_counts",
 ]
 
@@ -231,51 +226,3 @@ class EngineResult:
             f"backend_name={self.backend_name!r}, requests={self.requests}, "
             f"total_cost={self.total_cost!r})"
         )
-
-
-class ExecutionBackend(abc.ABC):
-    """One way of executing a schedule against an algorithm."""
-
-    #: Registry key and the name reported in results/instrumentation.
-    name: str = "abstract"
-
-    @abc.abstractmethod
-    def supports(self, algorithm_name: str) -> bool:
-        """Whether this backend can execute the named algorithm."""
-
-    @abc.abstractmethod
-    def execute(self, spec: RunSpec, instrumentation) -> EngineResult:
-        """Run the spec; ``instrumentation`` is never ``None``."""
-
-
-_BACKENDS: Dict[str, ExecutionBackend] = {}
-
-
-def register_backend(backend: ExecutionBackend, *, replace: bool = False) -> None:
-    """Add a backend to the dispatch registry under ``backend.name``."""
-    if not isinstance(backend, ExecutionBackend):
-        raise InvalidParameterError(
-            f"expected an ExecutionBackend instance, got {backend!r}"
-        )
-    if backend.name in _BACKENDS and not replace:
-        raise InvalidParameterError(
-            f"backend {backend.name!r} is already registered; "
-            "pass replace=True to override"
-        )
-    _BACKENDS[backend.name] = backend
-
-
-def get_backend(name: str) -> ExecutionBackend:
-    """Look up a registered backend by name."""
-    backend = _BACKENDS.get(name)
-    if backend is None:
-        raise InvalidParameterError(
-            f"unknown execution backend {name!r}; "
-            f"registered: {available_backends()}"
-        )
-    return backend
-
-
-def available_backends() -> List[str]:
-    """Names of the registered backends, registration order."""
-    return list(_BACKENDS)

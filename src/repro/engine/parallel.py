@@ -60,10 +60,10 @@ from ..types import Operation, Request, Schedule, ensure_integer, write_bits
 from ..workload.poisson import bernoulli_mask, bernoulli_schedule
 from ..workload.seeding import SeedLike, seed_fingerprint
 from ..core.packed import pack_write_masks
-from .batched import _single_kernel_thread, run_batched_masks
-from .batched import supports as batched_supports
+from .batched import _single_kernel_thread
 from .cache import CACHE_SCHEMA, ResultCache, digest_parts
-from .dispatch import AUTO, run as engine_run
+from .dispatch import AUTO, BATCHED, route, run_batched_masks
+from .dispatch import run as engine_run
 from .instrumentation import CounterInstrumentation
 
 if typing.TYPE_CHECKING:  # pragma: no cover - annotation-only import
@@ -102,6 +102,10 @@ class ScheduleSpec:
     kind: str = "bernoulli"
 
     def __post_init__(self):
+        if ensure_integer(self.length, "length") < 0:
+            raise InvalidParameterError(
+                f"length must be >= 0, got {self.length}"
+            )
         if isinstance(self.seed, np.random.Generator):
             raise InvalidParameterError(
                 "a ScheduleSpec must be rebuildable; seed it with an int "
@@ -465,21 +469,23 @@ def _execute_engine_task(
 
 
 def _is_batchable(task: EngineTask) -> bool:
-    """Whether the batched kernels can take this task.
+    """Whether the task joins a kernel group.
 
-    The conditions mirror the auto dispatcher's batched route (plus
-    "no wire capture", which only the protocol backend can satisfy).
-    Batchable tasks take the batched path *always* — even alone in
-    their group — so a task's outcome never depends on which other
-    tasks shared its chunk.
+    Exactly when auto dispatch would route the lone run to the batched
+    backend: :func:`~repro.engine.dispatch.route` decides, so a grouped
+    task reports the backend and dispatch reason its lone
+    :func:`repro.engine.run` would.  Batchable tasks take the batched
+    path *always* — even alone in their group — so a task's outcome
+    never depends on which other tasks shared its chunk.
     """
-    return (
-        task.backend == AUTO
-        and task.faults is None
-        and task.replicas == 1
-        and not task.capture_wire
-        and batched_supports(task.algorithm)
+    if task.backend != AUTO:
+        return False
+    chosen, _reason = route(
+        task.algorithm.strip().lower(),
+        faults=task.faults,
+        replicas=task.replicas,
     )
+    return chosen is BATCHED
 
 
 def _execute_engine_tasks(entries, counters) -> List[Tuple[int, SweepOutcome]]:
@@ -643,15 +649,11 @@ class SweepExecutor:
         cache: Optional[ResultCache] = None,
         chunk_size: Optional[int] = None,
     ):
-        if jobs < 1:
+        if ensure_integer(jobs, "jobs") < 1:
             raise InvalidParameterError(f"jobs must be >= 1, got {jobs}")
-        if chunk_size is not None and chunk_size < 1:
-            raise InvalidParameterError(
-                f"chunk_size must be >= 1, got {chunk_size}"
-            )
         self.jobs = jobs
         self.cache = cache
-        self.chunk_size = chunk_size
+        self.chunk_size = _ensure_chunk_size(chunk_size)
         self.tasks = 0
         self.executed = 0
         self.cache_hits = 0
@@ -675,6 +677,7 @@ class SweepExecutor:
         reproduction artifact, and a silently missing grid point would
         corrupt it.
         """
+        chunk_size = _ensure_chunk_size(chunk_size)
         tasks = list(tasks)
         results: List[Any] = [None] * len(tasks)
         cached = [False] * len(tasks)
@@ -772,6 +775,15 @@ class SweepExecutor:
             self.workers[pid] = dict(stats)
         else:
             self.workers[pid] = _merge_summaries([known, stats], pid=pid)
+
+
+def _ensure_chunk_size(chunk_size: Optional[int]) -> Optional[int]:
+    """``chunk_size`` validated: ``None`` (automatic) or an int >= 1."""
+    if chunk_size is not None and ensure_integer(chunk_size, "chunk_size") < 1:
+        raise InvalidParameterError(
+            f"chunk_size must be >= 1, got {chunk_size}"
+        )
+    return chunk_size
 
 
 def _pack(tasks, pending) -> List[Tuple[int, SweepTask]]:

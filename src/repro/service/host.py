@@ -50,10 +50,11 @@ from ..core.session import AlgorithmSpec, parse_algorithm_name
 from ..costmodels.base import EVENT_KIND_ORDER, CostEventKind, CostModel
 from ..costmodels.connection import ConnectionCostModel
 from ..engine.base import total_from_counts
+from ..engine.batched import run_batched_columns
+from ..engine.dispatch import run as engine_run
 # ``run_batched_masks`` is unused here but stays bound: the benchmark's
 # traced runs wrap it at this module.
-from ..engine.batched import run_batched_columns, run_batched_masks  # noqa: F401
-from ..engine.dispatch import run as engine_run
+from ..engine.dispatch import run_batched_masks  # noqa: F401
 from ..engine.instrumentation import Instrumentation
 from ..exceptions import (
     InvalidParameterError,
@@ -69,7 +70,7 @@ from ..sim.messages import (
     ReadRequest,
     WritePropagation,
 )
-from ..types import Operation, Request, Schedule
+from ..types import Operation, Request, Schedule, ensure_integer
 from .keys import SessionKey, shard_of
 
 __all__ = ["ServiceConfig", "BlockPlan", "AllocationService"]
@@ -108,6 +109,9 @@ class ServiceConfig:
     replicas: int = 1
 
     def __post_init__(self):
+        for name in ("num_shards", "drain_threshold", "max_queue_depth",
+                     "replicas"):
+            ensure_integer(getattr(self, name), name)
         if self.num_shards <= 0:
             raise InvalidParameterError(
                 f"num_shards must be positive, got {self.num_shards}"
@@ -124,6 +128,15 @@ class ServiceConfig:
             raise InvalidParameterError(
                 "max_queue_depth must be >= drain_threshold"
             )
+
+
+def _is_write(operation: Operation) -> bool:
+    """The write bit of ``operation``; anything but an Operation raises."""
+    if not isinstance(operation, Operation):
+        raise InvalidParameterError(
+            f"operation must be an Operation, got {operation!r}"
+        )
+    return operation is Operation.WRITE
 
 
 class _Group:
@@ -278,7 +291,13 @@ class AllocationService:
     # -- queued (single-operation) path --------------------------------
 
     def submit(self, key: SessionKey, operation: Operation) -> None:
-        """Queue one operation for a session (drains by queue depth)."""
+        """Queue one operation for a session (drains by queue depth).
+
+        Anything but an :class:`~repro.types.Operation` raises
+        :class:`~repro.exceptions.InvalidParameterError` before anything
+        is queued.
+        """
+        is_write = _is_write(operation)
         group, row, shard_index = self._lookup(key)
         shard = self._shards[shard_index]
         if not self.config.auto_drain and shard.depth >= self.config.max_queue_depth:
@@ -295,7 +314,7 @@ class AllocationService:
                 depth=shard.depth,
             )
         per_group = shard.pending.setdefault(group.spec.name, {})
-        per_group.setdefault(row, []).append(operation is Operation.WRITE)
+        per_group.setdefault(row, []).append(is_write)
         shard.depth += 1
         if shard.depth >= self.config.drain_threshold:
             self._instruments.on_backpressure(shard.index, shard.depth)
@@ -306,12 +325,16 @@ class AllocationService:
         """Decide one operation synchronously and return its event kind.
 
         Drains the session's shard first so the interactive decision
-        observes everything queued before it.
+        observes everything queued before it.  Anything but an
+        :class:`~repro.types.Operation` raises
+        :class:`~repro.exceptions.InvalidParameterError` before anything
+        is drained or decided.
         """
+        is_write = _is_write(operation)
         group, row, shard_index = self._lookup(key)
         self.drain_shard(shard_index)
         rows = np.array([row], dtype=np.intp)
-        writes = np.array([[operation is Operation.WRITE]], dtype=bool)
+        writes = np.array([[is_write]], dtype=bool)
         codes = self._drain_group_block(shard_index, group, rows, writes)
         return EVENT_KIND_ORDER[int(codes[0, 0])]
 

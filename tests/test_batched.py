@@ -6,8 +6,9 @@ The contract under test, hypothesis-swept rather than example-based:
   kernels cover — totals, counts, and (materialized) per-request
   classifications — whether a run goes through a batch or alone through
   ``engine.run`` on the auto path (a batch of one);
-* ``execute_batch`` handles ragged batches and uncovered algorithms by
-  per-spec fallback, every member byte-identical to a lone engine run;
+* kernel coverage is exactly session-hostability, and the unoptimized
+  k = 1 window (``sw1-unoptimized``) equals the reference replay on
+  every schedule of up to 10 requests at every warmup;
 * the k/m/omega parameter scans reproduce their brute-force loops
   exactly (the sufficient statistics lose nothing);
 * the sweep executor's batched path is invisible in outcomes (serial
@@ -29,29 +30,30 @@ from repro.core.batched import (
     scan_omega_totals,
     scan_threshold_counts,
     scan_window_counts,
-    stack_write_masks,
     supports,
 )
 from repro.core.packed import pack_write_masks, packed_run_counts
 from repro.core.registry import make_algorithm
-from repro.core.session import ensure_threshold
+from repro.core.session import ensure_threshold, parse_algorithm_name
 from repro.costmodels import ConnectionCostModel, MessageCostModel
 from repro.costmodels.base import EVENT_KIND_ORDER
 from repro.engine import (
-    BatchSpec,
     CounterInstrumentation,
     SweepExecutor,
-    execute_batch,
     run,
     run_batched_masks,
 )
-from repro.engine.base import RunSpec
 from repro.engine.parallel import EngineTask, ScheduleSpec
 from repro.exceptions import InvalidParameterError, UnknownAlgorithmError
-from repro.types import Schedule, ensure_odd_window
+from repro.types import Schedule, ensure_odd_window, write_bits
 from repro.workload import bernoulli_schedule
 
 MODEL = ConnectionCostModel()
+
+
+def stack_masks(schedules):
+    """The ``(B, N)`` bool write matrix of same-length schedules."""
+    return np.stack([write_bits(schedule) for schedule in schedules])
 
 BATCHED_NAMES = (
     "st1", "st2", "sw1", "sw3", "sw9", "sw15", "t1_1", "t1_4", "t2_3",
@@ -78,7 +80,7 @@ class TestKernelEquivalence:
         if not supports(algorithm_name):
             return
         schedules = [Schedule.from_string(text) for text in texts]
-        writes = stack_write_masks(schedules)
+        writes = stack_masks(schedules)
         results = run_batched_masks(
             algorithm_name, writes, [MODEL] * len(schedules)
         )
@@ -96,7 +98,7 @@ class TestKernelEquivalence:
         schedules = [Schedule.from_string(text) for text in texts]
         if warmup > len(schedules[0]):
             warmup = len(schedules[0])
-        writes = stack_write_masks(schedules)
+        writes = stack_masks(schedules)
         for name in ("sw3", "t1_2"):
             results = run_batched_masks(
                 name, writes, [MODEL] * len(schedules),
@@ -114,7 +116,7 @@ class TestKernelEquivalence:
         """Counts are model-independent; each row prices its own."""
         schedules = [Schedule.from_string("rwrwrrw")] * 3
         models = [MessageCostModel(omega) for omega in (0.0, 0.4, 1.0)]
-        results = run_batched_masks("sw3", stack_write_masks(schedules), models)
+        results = run_batched_masks("sw3", stack_masks(schedules), models)
         for schedule, model, batched in zip(schedules, models, results):
             solo = run("sw3", schedule, model, stream=True)
             assert batched.total_cost == solo.total_cost
@@ -154,13 +156,15 @@ def _replay_kinds(name, schedule):
 
 class TestSupports:
     def test_supported(self):
-        for name in NAMES:
+        for name in NAMES + ("sw1-unoptimized",):
             assert supports(name)
 
     def test_unsupported(self):
+        """Kernel coverage is exactly session-hostability."""
         assert not supports("ewma_20")
-        assert not supports("hsw9_2")
-        assert not supports("sw1-unoptimized")
+        for name in ("ewma_20", "hsw9_2", "bogus", "sw1-unoptimized",
+                     "sw7", "t2_9"):
+            assert supports(name) == (parse_algorithm_name(name) is not None)
 
     def test_unknown_raises(self):
         with pytest.raises(UnknownAlgorithmError):
@@ -226,53 +230,58 @@ class TestExactEquality:
             )
 
 
-class TestExecuteBatch:
-    def _spec(self, name, text, **kwargs):
-        return RunSpec(
-            algorithm=make_algorithm(name),
-            algorithm_name=name,
-            schedule=Schedule.from_string(text),
-            cost_model=MODEL,
-            stream=True,
-            **kwargs,
-        )
+def _all_masks(length):
+    """Every write mask of ``length`` requests: ``(2**length, length)``."""
+    values = np.arange(2 ** length)[:, None]
+    return ((values >> np.arange(length)) & 1).astype(bool)
 
-    def test_ragged_batch_and_fallback(self):
-        """Mixed lengths and uncovered algorithms still all complete,
-        each member byte-identical to running it alone."""
-        specs = [
-            self._spec("sw9", "rwrw"),
-            self._spec("sw9", "rwrwrrw"),        # different length
-            self._spec("sw1", "rwrw"),           # different algorithm
-            self._spec("sw1-unoptimized", "rwrw"),  # no batched kernel
-            self._spec("st1", ""),               # empty schedule
+
+class TestUnoptimizedWindowExhaustive:
+    """``sw1-unoptimized`` (SWk at k = 1) through every kernel tier.
+
+    Every mask of up to 10 requests at every warmup: the batched codes,
+    the packed counts and flips, and a lone auto-dispatched
+    ``engine.run`` all equal the reference replay.
+    """
+
+    NAME = "sw1-unoptimized"
+
+    @pytest.mark.parametrize("length", range(11))
+    def test_every_mask_and_warmup_equals_replay(self, length):
+        masks = _all_masks(length)
+        codes, _copy = batched_run_arrays(self.NAME, masks)
+        packed = pack_write_masks(masks)
+        tiers = [
+            packed_run_counts(self.NAME, packed, warmup)
+            for warmup in range(length + 1)
         ]
-        results = execute_batch(BatchSpec(runs=tuple(specs)))
-        assert [r.backend_name for r in results] == [
-            "batched", "batched", "batched", "reference", "batched"
-        ]
-        for spec, result in zip(specs, results):
-            solo = run(spec.algorithm_name, spec.schedule, MODEL, stream=True)
-            assert result.total_cost == solo.total_cost
-            assert result.event_counts == solo.event_counts
-
-    def test_group_of_one_same_reason_as_large_group(self):
-        """A run's outcome must not depend on its chunk-mates."""
-        lone = execute_batch([self._spec("sw9", "rwr")])
-        grouped = execute_batch(
-            [self._spec("sw9", "rwr")] + [self._spec("sw9", "wrw")] * 4
-        )
-        assert lone[0].dispatch_reason == grouped[0].dispatch_reason
-        assert lone[0].total_cost == grouped[0].total_cost
-
-    def test_batch_spec_validates_members(self):
-        with pytest.raises(InvalidParameterError):
-            BatchSpec(runs=("not a spec",))
-
-    def test_stack_write_masks_rejects_ragged(self):
-        with pytest.raises(InvalidParameterError):
-            stack_write_masks([Schedule.from_string("rw"),
-                               Schedule.from_string("rwr")])
+        algorithm = make_algorithm(self.NAME)
+        for row, mask in enumerate(masks):
+            schedule = Schedule.from_string(
+                "".join("w" if bit else "r" for bit in mask)
+            )
+            reference = replay(algorithm, schedule, MODEL)
+            kinds = tuple(event.kind for event in reference.events)
+            flips = sum(
+                before is not after
+                for before, after in zip(reference.schemes,
+                                         reference.schemes[1:])
+            )
+            assert tuple(EVENT_KIND_ORDER[code] for code in codes[row]) == kinds
+            traced = run(self.NAME, schedule, MODEL)
+            assert traced.backend_name == "batched"
+            assert traced.event_kinds == kinds
+            for warmup, (counts, packed_flips) in enumerate(tiers):
+                expected = [kinds[warmup:].count(kind)
+                            for kind in EVENT_KIND_ORDER]
+                assert counts[row].tolist() == expected
+                assert packed_flips[row] == flips
+                auto = run(self.NAME, schedule, MODEL, stream=True,
+                           warmup=warmup)
+                assert auto.backend_name == "batched"
+                assert [auto.event_counts.get(kind, 0)
+                        for kind in EVENT_KIND_ORDER] == expected
+                assert auto.scheme_changes == flips
 
 
 class TestParameterScans:
@@ -280,7 +289,7 @@ class TestParameterScans:
            warmup=st.integers(0, 5))
     @settings(max_examples=30, deadline=None)
     def test_k_scan_equals_per_kernel_loop(self, texts, warmup):
-        writes = stack_write_masks(
+        writes = stack_masks(
             [Schedule.from_string(text) for text in texts]
         )
         if warmup > writes.shape[1]:
@@ -297,7 +306,7 @@ class TestParameterScans:
            method=st.sampled_from(["t1", "t2"]))
     @settings(max_examples=30, deadline=None)
     def test_m_scan_equals_per_kernel_loop(self, texts, warmup, method):
-        writes = stack_write_masks(
+        writes = stack_masks(
             [Schedule.from_string(text) for text in texts]
         )
         if warmup > writes.shape[1]:
@@ -314,7 +323,7 @@ class TestParameterScans:
         """Affine reuse of the counts is byte-identical to re-running
         the engine under each omega's model."""
         schedules = [Schedule.from_string(text) for text in texts]
-        writes = stack_write_masks(schedules)
+        writes = stack_masks(schedules)
         codes, _ = batched_run_arrays("sw3", writes)
         counts = batched_counts(codes)
         omegas = [0.0, 0.15, 0.5, 0.95, 1.0]
@@ -424,6 +433,38 @@ class TestSweepExecutorBatching:
         ]
         assert all(o.backend_name == "batched" for o in serial)
 
+    def test_outcomes_report_their_lone_dispatch(self):
+        """Ragged lengths, uncovered algorithms and empty schedules in
+        one map: each outcome reports the backend, reason and costs of
+        its lone auto-dispatched ``engine.run``."""
+        cases = [("sw9", "rwrw"), ("sw9", "rwrwrrw"), ("sw1", "rwrw"),
+                 ("sw1-unoptimized", "rwrw"), ("ewma_20", "rwrw"),
+                 ("st1", "")]
+        tasks = [EngineTask(name, Schedule.from_string(text), MODEL)
+                 for name, text in cases]
+        outcomes = SweepExecutor(jobs=1).map(tasks)
+        assert [o.backend_name for o in outcomes] == [
+            "batched", "batched", "batched", "batched", "reference",
+            "batched",
+        ]
+        for (name, text), outcome in zip(cases, outcomes):
+            solo = run(name, Schedule.from_string(text), MODEL, stream=True)
+            assert outcome.backend_name == solo.backend_name
+            assert outcome.dispatch_reason == solo.dispatch_reason
+            assert outcome.total_cost == solo.total_cost
+            assert outcome.event_counts == solo.event_counts
+
+    def test_group_of_one_same_outcome_as_large_group(self):
+        """A task's outcome must not depend on its chunk-mates."""
+        def task(text):
+            return EngineTask("sw9", Schedule.from_string(text), MODEL)
+
+        lone = SweepExecutor(jobs=1).map([task("rwr")])
+        grouped = SweepExecutor(jobs=1).map(
+            [task("rwr")] + [task("wrw")] * 4
+        )
+        assert lone[0].identity() == grouped[0].identity()
+
     def test_executor_reports_batches(self):
         executor = SweepExecutor(jobs=1)
         executor.map(self._tasks())
@@ -433,7 +474,7 @@ class TestSweepExecutorBatching:
 
     def test_instrumentation_on_batch_counter(self):
         counters = CounterInstrumentation()
-        writes = stack_write_masks([Schedule.from_string("rwrw")] * 3)
+        writes = stack_masks([Schedule.from_string("rwrw")] * 3)
         run_batched_masks("sw3", writes, [MODEL] * 3,
                           instrumentation=counters)
         assert counters.batches == 1

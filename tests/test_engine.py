@@ -31,14 +31,13 @@ from repro.engine import (
     Instrumentation,
     ScheduleSpec,
     TraceInstrumentation,
-    available_backends,
-    get_backend,
     run,
     serial_executor,
     total_from_counts,
     value_for_write,
     wants_per_request,
 )
+from repro.engine.dispatch import BACKENDS
 from repro.engine.versioning import INITIAL_VALUE, INITIAL_VERSION
 from repro.exceptions import InvalidParameterError, UnknownAlgorithmError
 from repro.sim.faults import parse_fault_spec
@@ -50,15 +49,17 @@ schedule_texts = st.text(alphabet="rw", min_size=0, max_size=100)
 
 
 class TestRegistry:
+    """The fixed table of backends that ``backend=`` names."""
+
     def test_three_backends_registered(self):
-        assert available_backends() == ["reference", "protocol", "batched"]
+        assert list(BACKENDS) == ["reference", "protocol", "batched"]
 
     def test_unknown_backend_name(self):
-        with pytest.raises(InvalidParameterError):
-            get_backend("quantum")
+        with pytest.raises(InvalidParameterError, match="quantum"):
+            run("sw9", Schedule.from_string("rw"), MODEL, backend="quantum")
 
     def test_protocol_supports_matches_deciders(self):
-        protocol = get_backend("protocol")
+        protocol = BACKENDS["protocol"]
         assert protocol.supports("sw9")
         assert protocol.supports("t1_4")
         assert not protocol.supports("bogus")

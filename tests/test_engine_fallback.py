@@ -16,9 +16,9 @@ import pytest
 from repro.engine import (
     BackendDiagnostic,
     CounterInstrumentation,
-    get_backend,
     run,
 )
+from repro.engine.dispatch import BatchedBackend, ReferenceBackend
 from repro.exceptions import InvalidParameterError
 from repro.sim.faults import FaultConfig
 from repro.costmodels import ConnectionCostModel
@@ -31,13 +31,11 @@ SCHEDULE = Schedule.from_string("rrwrwwrr")
 @pytest.fixture
 def broken_batched(monkeypatch):
     """Make the batched backend explode mid-run."""
-    backend = get_backend("batched")
 
     def explode(self, spec, instrumentation):
         raise ZeroDivisionError("synthetic mid-run kernel failure")
 
-    monkeypatch.setattr(type(backend), "execute", explode)
-    return backend
+    monkeypatch.setattr(BatchedBackend, "execute", explode)
 
 
 class TestReferenceFallback:
@@ -80,12 +78,10 @@ class TestReferenceFallback:
                 fallback=False)
 
     def test_reference_crash_is_never_swallowed(self, monkeypatch):
-        backend = get_backend("reference")
-
         def explode(self, spec, instrumentation):
             raise RuntimeError("reference is the floor; nothing below")
 
-        monkeypatch.setattr(type(backend), "execute", explode)
+        monkeypatch.setattr(ReferenceBackend, "execute", explode)
         with pytest.raises(RuntimeError, match="floor"):
             run("sw9", SCHEDULE, MODEL, backend="reference")
 

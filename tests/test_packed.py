@@ -22,11 +22,7 @@ from hypothesis import strategies as st
 
 import repro.core.packed as packed_module
 import repro.engine.batched as batched_engine
-from repro.core.batched import (
-    batched_counts,
-    batched_run_arrays,
-    stack_write_masks,
-)
+from repro.core.batched import batched_counts, batched_run_arrays
 from repro.core.packed import (
     PackedMasks,
     accumulator_dtype,
@@ -39,7 +35,7 @@ from repro.engine import FunctionTask, SweepExecutor, run, run_batched_masks
 from repro.engine.batched import _row_tiles, run_batched_columns
 from repro.exceptions import InvalidParameterError, UnknownAlgorithmError
 from repro.costmodels.base import EVENT_KIND_ORDER
-from repro.types import AllocationScheme, Schedule
+from repro.types import AllocationScheme, Schedule, write_bits
 
 MODEL = ConnectionCostModel()
 
@@ -77,8 +73,12 @@ def schedule_batches(draw, max_rows=5, max_length=60):
     ]
 
 
+def _stack(schedules):
+    return np.stack([write_bits(schedule) for schedule in schedules])
+
+
 def _writes_from(texts):
-    return stack_write_masks([Schedule.from_string(text) for text in texts])
+    return _stack([Schedule.from_string(text) for text in texts])
 
 
 class TestPackedLayout:
@@ -179,7 +179,7 @@ class TestByteIdentity:
     @pytest.mark.parametrize("algorithm_name", FAMILY_NAMES)
     def test_materialized_events_survive_packing(self, algorithm_name):
         schedules = [Schedule.from_string("rwrrwwrwrrrwr")] * 3
-        packed = pack_write_masks(stack_write_masks(schedules))
+        packed = pack_write_masks(_stack(schedules))
         results = _run_on(
             2, algorithm_name, packed, [MODEL] * 3, stream=False
         )

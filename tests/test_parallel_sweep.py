@@ -63,6 +63,15 @@ class TestSeeding:
         with pytest.raises(InvalidParameterError):
             ScheduleSpec(0.3, 100, seed=np.random.default_rng(1))
 
+    @pytest.mark.parametrize("length", [-3, 2.5, True, "4"])
+    def test_spec_rejects_bad_length(self, length):
+        with pytest.raises(InvalidParameterError, match="length"):
+            ScheduleSpec(0.3, length, seed=1)
+
+    def test_spec_accepts_numpy_and_zero_lengths(self):
+        assert len(ScheduleSpec(0.3, np.int64(5), seed=1).build()) == 5
+        assert len(ScheduleSpec(0.3, 0, seed=1).build()) == 0
+
     def test_spec_build_is_reproducible(self):
         spec = ScheduleSpec(0.3, 500, seed=spawn_seeds(3, 1)[0])
         assert spec.build().to_string() == spec.build().to_string()
@@ -163,6 +172,19 @@ class TestParallelEqualsSerial:
     def test_invalid_jobs_rejected(self):
         with pytest.raises(InvalidParameterError):
             SweepExecutor(jobs=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"jobs": 1.5}, {"jobs": True}, {"jobs": "2"},
+        {"chunk_size": 0}, {"chunk_size": 2.5}, {"chunk_size": True},
+    ])
+    def test_non_integer_counts_rejected(self, kwargs):
+        name = next(iter(kwargs))
+        with pytest.raises(InvalidParameterError, match=name):
+            SweepExecutor(**kwargs)
+
+    def test_map_rejects_non_integer_chunk_size(self):
+        with pytest.raises(InvalidParameterError, match="chunk_size"):
+            SweepExecutor(jobs=2).map(_spec_grid(count=2), chunk_size=1.5)
 
 
 def _multi_object_schedule(length=600, seed=3):

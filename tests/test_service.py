@@ -140,6 +140,42 @@ class TestDecisions:
         assert replay["sessions_replayed"] == 20
         assert replay["decisions_replayed"] == 20 * 31
 
+    def test_unoptimized_window_session_decides_and_verifies(self):
+        """``sw1-unoptimized`` is session-hostable, so it is decidable:
+        serve_one, queued submits and blocks all decide it, and the
+        logged decisions pass audit and engine replay."""
+        service = AllocationService(ServiceConfig(num_shards=2))
+        keys = [_key(i) for i in range(6)]
+        for index, key in enumerate(keys):
+            service.open_session(key, ["sw1-unoptimized", "sw3"][index % 2])
+        assert service.serve_one(keys[0], READ) is CostEventKind.REMOTE_READ
+        assert service.serve_one(keys[0], READ) is CostEventKind.LOCAL_READ
+        assert (service.serve_one(keys[0], WRITE)
+                is CostEventKind.WRITE_PROPAGATED_DEALLOCATE)
+        service.submit(keys[2], READ)
+        service.submit(keys[2], WRITE)
+        plan = service.plan_block(keys)
+        rng = np.random.default_rng(24)
+        service.submit_block(plan, rng.random((6, 13)) < 0.5)
+        service.audit()
+        replay = service.replay_verify(sample=6)
+        assert replay["sessions_replayed"] == 6
+        assert replay["decisions_replayed"] == 3 + 2 + 6 * 13
+
+    @pytest.mark.parametrize("operation", ["write", "garbage", True, 1, None])
+    def test_non_operation_rejected_before_deciding(self, operation):
+        service = AllocationService(ServiceConfig(num_shards=2))
+        key = _key(0)
+        service.open_session(key, "st2")
+        service.submit(key, WRITE)
+        with pytest.raises(InvalidParameterError, match="Operation"):
+            service.serve_one(key, operation)
+        with pytest.raises(InvalidParameterError, match="Operation"):
+            service.submit(key, operation)
+        # Nothing was decided, and only the one valid submit is queued.
+        assert service.session_info(key)["decisions"] == 0
+        assert service.drain_all() == 1
+
     def test_repeated_key_in_a_block_is_rejected(self):
         """A repeated key would be decided twice from one state and only
         one row kept; planning such a block must fail instead."""
@@ -363,6 +399,14 @@ class TestFailoverDrill:
     def test_config_validates_replica_count(self):
         with pytest.raises(InvalidParameterError):
             ServiceConfig(replicas=9)
+
+    @pytest.mark.parametrize("field", [
+        "num_shards", "drain_threshold", "max_queue_depth", "replicas",
+    ])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+    def test_config_counts_must_be_integers(self, field, value):
+        with pytest.raises(InvalidParameterError, match=field):
+            ServiceConfig(**{field: value})
 
 
 class TestSelfTest:
