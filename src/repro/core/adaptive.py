@@ -7,11 +7,10 @@ write fraction.  :class:`AdaptiveAllocator` closes that loop online:
 * an :class:`OnlineThetaEstimator` keeps a windowed write-fraction
   estimate and a two-window drift test; a detected regime change
   flushes the history so the next retune sees only the new regime;
-* the recent write-bit history is periodically fed through the
-  sufficient-statistic scans (:func:`repro.core.batched.scan_window_counts`
-  and :func:`repro.core.batched.scan_threshold_counts`) — the *oracle*:
-  one numpy pass prices every candidate k and m on the observed regime
-  and the cheapest configuration wins;
+* the recent write-bit history is periodically priced under every
+  candidate configuration — the *oracle*: each candidate's cost is
+  that of a fresh run of its session on the history, and the cheapest
+  configuration wins;
 * the decision core is an :class:`~repro.core.session.AllocationSession`
   for the winning configuration, so each individual decision is one
   the paper's methods could have made and the SWk/T1m rules exist only
@@ -24,20 +23,32 @@ write fraction.  :class:`AdaptiveAllocator` closes that loop online:
   switch never teleports the replica; it only changes the rule used
   for future transitions.
 
-The allocator runs under the standard
-:class:`~repro.core.base.AllocationAlgorithm` interface (reference
-backend; the batched kernels cannot host state that depends on its
-own past decisions), so every analysis tool — replay, engine dispatch,
-the regret harness — applies unchanged.
+The per-request path (:meth:`AllocationAlgorithm.process`) is the
+reference implementation.  A fresh run over a whole write mask also
+runs in two passes (:meth:`AdaptiveAllocator.run_mask`, the engine's
+``batched`` backend), byte-identical to the replay.  The configuration
+schedule depends on the write bits alone — detector firings, retune
+points and each retune's argmin are functions of the mask — so pass 1
+computes it without deciding anything: the detector's window sums are
+prefix-sum differences, and every retune window is priced from one
+full-length kernel pass per candidate, counted per kind between the
+window boundaries, its first L + 1 positions re-run from a fresh
+state.  Decisions depend on their
+own past only through the copy bit each adopted session is seeded
+with, so pass 2 runs every constant-configuration segment through the
+batched kernels: the seeded session decides the segment's head one
+request at a time until its copy bit is the one the kernels rebuild
+from its carry (at most L requests), and the kernels take the rest on
+``[carry | remaining bits]``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..costmodels.base import CostEventKind, CostModel
+from ..costmodels.base import EVENT_KIND_ORDER, CostEventKind, CostModel
 from ..exceptions import InvalidParameterError
 from ..types import (
     AllocationScheme,
@@ -46,10 +57,21 @@ from ..types import (
     ensure_odd_window,
 )
 from .base import AllocationAlgorithm
-from .batched import batched_totals, scan_threshold_counts, scan_window_counts
+from .batched import (
+    batched_counts,
+    batched_run_arrays,
+    batched_totals,
+    scan_threshold_counts,
+    scan_window_counts,
+)
 from .session import AlgorithmSpec, AllocationSession, ensure_threshold
 
-__all__ = ["AdaptiveAllocator", "OnlineThetaEstimator"]
+__all__ = [
+    "AdaptiveAllocator",
+    "OnlineThetaEstimator",
+    "detector_firings",
+    "oracle_prices",
+]
 
 #: Default window-size candidates offered to the oracle (odd, as SWk
 #: requires); spans the fast-adapting to the noise-immune end.
@@ -57,6 +79,11 @@ DEFAULT_KS: Tuple[int, ...] = (1, 3, 5, 9, 15)
 
 #: Default T1m threshold candidates.
 DEFAULT_MS: Tuple[int, ...] = (1, 2, 4, 8)
+
+_NUM_KINDS = len(EVENT_KIND_ORDER)
+
+#: Each event kind's code (its index in ``EVENT_KIND_ORDER``).
+_CODES = {kind: code for code, kind in enumerate(EVENT_KIND_ORDER)}
 
 
 class OnlineThetaEstimator:
@@ -123,6 +150,201 @@ class OnlineThetaEstimator:
         """Forget all observations and disarm the detector."""
         self._bits = 0
         self._observed = 0
+
+
+def _preference(spec: AlgorithmSpec) -> tuple:
+    """The oracle's tie-break among equally cheap challengers: SWk
+    before T1m, then the smaller parameter (faster adaptation)."""
+    return (spec.family != "swk", spec.param)
+
+
+def oracle_prices(
+    writes: np.ndarray,
+    ks: Sequence[int],
+    ms: Sequence[int],
+    model: CostModel,
+) -> Dict[AlgorithmSpec, float]:
+    """The oracle's price of every candidate on one ``(1, N)`` history.
+
+    Each price is the cost, under ``model``, of a fresh session of the
+    candidate run over the history.  The two sufficient-statistic
+    scans price all k > 1 and all m at once; k = 1 is priced by the
+    unoptimized one-request window (``sw1-unoptimized``), the rule
+    the allocator then runs, not SW1's delete-request kernel.
+    """
+    prices = {}
+    windows = [k for k in ks if k > 1]
+    totals = batched_totals(scan_window_counts(writes, windows), model)
+    for k, total in zip(windows, totals[:, 0].tolist()):
+        prices[AlgorithmSpec("swk", k)] = total
+    if 1 in ks:
+        codes, _copy = batched_run_arrays("sw1-unoptimized", writes)
+        total = batched_totals(batched_counts(codes), model)[0]
+        prices[AlgorithmSpec("swk", 1)] = float(total)
+    if ms:
+        totals = batched_totals(scan_threshold_counts("t1", writes, ms), model)
+        for m, total in zip(ms, totals[:, 0].tolist()):
+            prices[AlgorithmSpec("t1", m)] = total
+    return prices
+
+
+# ---------------------------------------------------------------------------
+# Pass 1: the configuration schedule, from the write mask alone
+# ---------------------------------------------------------------------------
+
+
+def _bits_int(bits: np.ndarray) -> int:
+    """Write bits, oldest first, as an int with the newest in bit 0."""
+    if not len(bits):
+        return 0
+    packed = np.packbits(bits[::-1], bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
+
+
+def detector_firings(
+    writes: np.ndarray, window: int, threshold: float
+) -> np.ndarray:
+    """Where a fresh :class:`OnlineThetaEstimator` fed ``writes`` fires.
+
+    Every check compares two window sums of real requests, so each is
+    a prefix-sum difference; a firing disarms the detector for
+    ``window`` requests, so the firings are a greedy scan of the
+    candidate positions: the next one is the first at or after the
+    last firing plus ``window``.  The float arithmetic is the
+    estimator's, so a difference of exactly ``threshold`` does not
+    fire here either.
+    """
+    length = len(writes)
+    if length < 2 * window:
+        return np.empty(0, dtype=np.int64)
+    prefix = np.zeros(length + 1, dtype=np.int32)
+    np.cumsum(writes, out=prefix[1:])
+    middle = prefix[window:length + 1 - window]
+    recent = prefix[2 * window:] - middle
+    older = middle - prefix[:length + 1 - 2 * window]
+    candidates = np.flatnonzero(
+        np.abs(recent / window - older / window) > threshold
+    ) + (2 * window - 1)
+    firings = []
+    armed = 0
+    for index in candidates.tolist():
+        if index >= armed:
+            firings.append(index)
+            armed = index + window
+    return np.array(firings, dtype=np.int64)
+
+
+def _retune_points(
+    length: int, firings: np.ndarray, interval: int
+) -> np.ndarray:
+    """Requests that run the oracle: periodic ones, restarted by every
+    firing (which retunes itself)."""
+    points = []
+    last = -1
+    for firing in firings.tolist() + [length]:
+        points.append(np.arange(last + interval, firing, interval))
+        if firing < length:
+            points.append(np.array([firing]))
+        last = firing
+    return np.concatenate(points)
+
+
+def _window_costs(
+    writes: np.ndarray,
+    starts: np.ndarray,
+    stops: np.ndarray,
+    candidates: Sequence[AlgorithmSpec],
+    model: CostModel,
+) -> np.ndarray:
+    """``(R, C)``: each candidate's cost on each window, as a fresh run.
+
+    The windows are ``writes[starts[r]:stops[r]]``.  A fresh run's
+    code at position ``j`` equals the full-length run's once ``j`` is
+    more than L past the window start: SWk's window and T1m's clipped
+    run position no longer reach back across it.  So each candidate
+    takes one full-length kernel pass, counted per kind between the
+    window boundaries (one bincount over the blocks they cut, then a
+    prefix sum over the blocks), and the first L + 1 positions of
+    every window are re-run from a fresh state.  Prices go through
+    :func:`batched_totals`, so the floats are the scan oracle's bit
+    for bit.
+    """
+    length = len(writes)
+    rows = len(starts)
+    head = max(spec.carry_length for spec in candidates) + 1
+    offsets = np.arange(head)
+    heads = writes[np.minimum(starts[:, None] + offsets, length - 1)]
+    inside = offsets < (stops - starts)[:, None]
+    row_bins = (np.arange(rows) * _NUM_KINDS)[:, None]
+    split = np.minimum(starts + head, stops)
+    bounds = np.unique(np.concatenate([split, stops]))
+    lower = np.searchsorted(bounds, split)
+    upper = np.searchsorted(bounds, stops)
+    blocks = np.searchsorted(bounds, np.arange(length), side="right")
+    blocks *= _NUM_KINDS
+    counts = np.empty((rows, len(candidates), _NUM_KINDS), dtype=np.int64)
+    for slot, spec in enumerate(candidates):
+        codes, _copy = batched_run_arrays(spec.name, writes[None, :])
+        prefix = np.bincount(
+            blocks + codes[0], minlength=(len(bounds) + 1) * _NUM_KINDS
+        ).reshape(-1, _NUM_KINDS).cumsum(axis=0)
+        head_codes, _copy = batched_run_arrays(spec.name, heads)
+        counts[:, slot] = prefix[upper] - prefix[lower] + np.bincount(
+            (head_codes + row_bins)[inside], minlength=rows * _NUM_KINDS
+        ).reshape(rows, _NUM_KINDS)
+    return batched_totals(counts, model)
+
+
+# ---------------------------------------------------------------------------
+# Pass 2: constant-configuration segments through the kernels
+# ---------------------------------------------------------------------------
+
+
+def _rebuilt_copy(spec: AlgorithmSpec, carry: int) -> bool:
+    """The copy bit the kernels hold after replaying ``carry`` fresh.
+
+    SWk's replica follows the window majority, T1m's the all-reads
+    run; a seeded session keeps a disagreeing copy bit for at most L
+    requests.
+    """
+    if spec.family == "swk":
+        return carry.bit_count() <= spec.param >> 1
+    return carry == 0
+
+
+def _run_segment(
+    session: AllocationSession,
+    writes: np.ndarray,
+    start: int,
+    stop: int,
+    codes: np.ndarray,
+    copy_after: np.ndarray,
+) -> bool:
+    """Decide ``writes[start:stop]`` with ``session``; return the copy bit.
+
+    The session decides the head one request at a time until its copy
+    bit is the one the kernels rebuild from its carry; the kernels then
+    take the rest on ``[carry | remaining bits]``, discarding the
+    carry's L outputs.  Fills ``codes`` and ``copy_after`` in place;
+    the session itself is left at the end of its head.
+    """
+    spec = session.spec
+    position = start
+    while position < stop and session.mobile_has_copy != _rebuilt_copy(
+        spec, session.carry
+    ):
+        decision = session.feed(
+            Operation.WRITE if writes[position] else Operation.READ
+        )
+        codes[position] = _CODES[decision.kind]
+        copy_after[position] = decision.mobile_has_copy
+        position += 1
+    if position < stop:
+        row = np.concatenate([session.carry_bits(), writes[position:stop]])
+        run_codes, run_copy = batched_run_arrays(spec.name, row[None, :])
+        codes[position:stop] = run_codes[0, spec.carry_length:]
+        copy_after[position:stop] = run_copy[0, spec.carry_length:]
+    return bool(copy_after[stop - 1])
 
 
 class AdaptiveAllocator(AllocationAlgorithm):
@@ -270,10 +492,8 @@ class AdaptiveAllocator(AllocationAlgorithm):
     def _retune(self) -> Optional[AlgorithmSpec]:
         """Price every candidate on the regime history; return a new argmin.
 
-        One ``(1, N)`` write matrix through the two sufficient-statistic
-        scans prices all k and all m at once; ties prefer the incumbent
-        (no churn, returns ``None``), then the smaller parameter (faster
-        adaptation).
+        Ties prefer the incumbent (no churn, returns ``None``), then
+        the smaller parameter (faster adaptation).
         """
         self._since_retune = 0
         self._retunes += 1
@@ -282,27 +502,17 @@ class AdaptiveAllocator(AllocationAlgorithm):
             return None
         packed = self._history.to_bytes((observed + 7) // 8, "big")
         writes = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))
-        writes = writes[-observed:].astype(bool)[None, :]
-        candidates = []
-        k_counts = scan_window_counts(writes, self._ks)
-        k_totals = batched_totals(k_counts, self._oracle_model)
-        for slot, k in enumerate(self._ks):
-            candidates.append((float(k_totals[slot, 0]), "swk", k))
-        if self._ms:
-            m_counts = scan_threshold_counts("t1", writes, self._ms)
-            m_totals = batched_totals(m_counts, self._oracle_model)
-            for slot, m in enumerate(self._ms):
-                candidates.append((float(m_totals[slot, 0]), "t1", m))
-        best_cost = min(cost for cost, _family, _param in candidates)
-        best = [
-            (family, param)
-            for cost, family, param in candidates
-            if cost <= best_cost
-        ]
-        if (self.family, self.param) in best:
+        prices = oracle_prices(
+            writes[-observed:].astype(bool)[None, :],
+            self._ks,
+            self._ms,
+            self._oracle_model,
+        )
+        best_cost = min(prices.values())
+        best = [spec for spec, cost in prices.items() if cost <= best_cost]
+        if self._session.spec in best:
             return None
-        family, param = min(best, key=lambda pair: (pair[0] != "swk", pair[1]))
-        return AlgorithmSpec(family, param)
+        return min(best, key=_preference)
 
     # -- the decision core ----------------------------------------------
 
@@ -343,6 +553,130 @@ class AdaptiveAllocator(AllocationAlgorithm):
 
     def _serve_write(self) -> CostEventKind:
         return self._serve(Operation.WRITE, 1)
+
+    # -- the two-pass run ------------------------------------------------
+
+    def _candidates(self) -> Tuple[AlgorithmSpec, ...]:
+        """The oracle's distinct candidates in tie-break order."""
+        specs = {AlgorithmSpec("swk", k) for k in self._ks}
+        specs.update(AlgorithmSpec("t1", m) for m in self._ms)
+        return tuple(sorted(specs, key=_preference))
+
+    def _epochs(self, firings: np.ndarray) -> np.ndarray:
+        """Where the observed history starts after 0, 1, ... firings.
+
+        A firing at request f keeps the detector's fresh window, the
+        ``detector_window`` requests ending at f.
+        """
+        return np.concatenate([[0], firings - self._detector_window + 1])
+
+    def _schedule(
+        self, writes: np.ndarray, firings: np.ndarray, points: np.ndarray
+    ) -> List[Tuple[int, AlgorithmSpec]]:
+        """Pass 1's adoptions: ``(request, configuration)`` pairs.
+
+        Each retune prices the last ``observed`` requests, where the
+        observed length restarts ``detector_window`` requests before
+        every firing and caps at ``history``.
+        """
+        candidates = self._candidates()
+        current = candidates.index(self._session.spec)
+        epochs = self._epochs(firings)[
+            np.searchsorted(firings, points, side="right")
+        ]
+        observed = np.minimum(points - epochs + 1, self._history_cap)
+        priced = observed >= 2
+        if not priced.any():
+            return []
+        points, stops = points[priced], points[priced] + 1
+        costs = _window_costs(
+            writes, stops - observed[priced], stops, candidates,
+            self._oracle_model,
+        )
+        best = costs <= costs.min(axis=1, keepdims=True)
+        adoptions = []
+        for point, row, pick in zip(
+            points.tolist(), best.tolist(), best.argmax(axis=1).tolist()
+        ):
+            if not row[current]:
+                current = pick
+                adoptions.append((point, candidates[pick]))
+        return adoptions
+
+    def run_mask(self, writes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """A fresh run over a whole write mask, in two passes.
+
+        Returns ``(codes, copy_after)`` like
+        :func:`~repro.core.batched.batched_run_arrays` for one row, and
+        leaves the instance exactly as replaying the mask request by
+        request would — session, history, estimator and counters — so
+        a continued run picks up where this one ended.
+        """
+        writes = np.asarray(writes)
+        if writes.ndim != 1 or writes.dtype != np.bool_:
+            raise InvalidParameterError(
+                f"expected a 1-D bool write mask, got "
+                f"{writes.dtype} {writes.shape}"
+            )
+        self.reset()
+        length = len(writes)
+        codes = np.empty(length, dtype=np.int64)
+        copy_after = np.empty(length, dtype=bool)
+        if not length:
+            return codes, copy_after
+        window = self._detector_window
+        firings = detector_firings(writes, window, self._detector_threshold)
+        points = _retune_points(length, firings, self._retune_interval)
+        adoptions = self._schedule(writes, firings, points)
+
+        # Pass 2: one seeded session per constant-configuration segment.
+        session = self._session
+        start = 0
+        for stop, adopted in adoptions + [(length, None)]:
+            seed = session.carry
+            copy = _run_segment(
+                session, writes, start, stop, codes, copy_after
+            )
+            if adopted is not None:
+                session = self._seeded(writes, firings, stop, adopted, copy)
+                start = stop
+        spec = session.spec
+        tail = writes[max(start, length - spec.carry_length):]
+        carry = (seed << len(tail) | _bits_int(tail)) & (
+            (1 << spec.carry_length) - 1
+        )
+
+        # The end state the replay leaves behind.
+        self._session = AllocationSession(spec, seed=(carry, copy))
+        self._mobile_has_copy = copy
+        epoch = int(self._epochs(firings)[-1])
+        self._observed = min(length - epoch, self._history_cap)
+        self._history = _bits_int(writes[length - self._observed:])
+        self._since_retune = (
+            length - 1 - int(points[-1]) if len(points) else length
+        )
+        self._retunes = len(points)
+        self._regime_changes = len(firings)
+        estimator = self._estimator
+        estimator._observed = min(length - epoch, 2 * window)
+        estimator._bits = _bits_int(writes[length - estimator._observed:])
+        return codes, copy_after
+
+    def _seeded(
+        self,
+        writes: np.ndarray,
+        firings: np.ndarray,
+        request: int,
+        spec: AlgorithmSpec,
+        copy: bool,
+    ) -> AllocationSession:
+        """The session :meth:`_serve` adopts at ``request``: the last L
+        bits before it (a short history padded with writes), ``copy``."""
+        epoch = int(self._epochs(firings)[np.searchsorted(firings, request)])
+        real = min(request - epoch, self._history_cap, spec.carry_length)
+        pad = (1 << spec.carry_length) - (1 << real)
+        carry = pad | _bits_int(writes[request - real:request])
+        return AllocationSession(spec, seed=(carry, copy))
 
     def describe(self) -> str:
         return (

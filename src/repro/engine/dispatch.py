@@ -11,7 +11,12 @@ never depend on which path executed it.  For ``backend="auto"``:
    the unoptimized k = 1 window, T1m/T2m) and the run starts fresh — a
    single run is a batch of one, and a streaming, untraced run takes
    the packed counts tier;
-2. the **reference** replay otherwise — estimator allocators carry
+2. the **batched** backend for a fresh run of the adaptive allocator,
+   which it runs in two passes over the write mask
+   (:meth:`~repro.core.adaptive.AdaptiveAllocator.run_mask`): the
+   configuration schedule first, then each constant-configuration
+   segment through the kernels;
+3. the **reference** replay otherwise — estimator allocators carry
    genuinely sequential state, and continued runs (``fresh=False``)
    depend on live instance state no kernel can reconstruct.
 
@@ -44,11 +49,17 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..core.adaptive import AdaptiveAllocator
 from ..core.base import AllocationAlgorithm
 from ..core.batched import supports as kernels_cover
 from ..core.packed import PackedMasks
 from ..core.registry import make_algorithm
-from ..costmodels.base import CostEvent, CostEventKind, CostModel
+from ..costmodels.base import (
+    EVENT_KIND_ORDER,
+    CostEvent,
+    CostEventKind,
+    CostModel,
+)
 from ..exceptions import InvalidParameterError, UnknownAlgorithmError
 from ..types import (
     AllocationScheme,
@@ -214,12 +225,22 @@ class BatchedBackend:
     name = "batched"
 
     def supports(self, algorithm_name: str) -> bool:
-        """Whether the kernels cover it: exactly the session-hostable
-        families."""
-        return kernels_cover(algorithm_name)
+        """Whether the kernels cover it: the session-hostable families,
+        plus the adaptive allocator's two-pass run."""
+        return (
+            kernels_cover(algorithm_name)
+            or algorithm_name == AdaptiveAllocator.name
+        )
 
     def execute(self, spec: RunSpec, instrumentation) -> EngineResult:
         """Run the spec as a batch of one through the kernel tiles."""
+        if spec.algorithm_name == AdaptiveAllocator.name:
+            [result] = _adaptive_results(
+                [spec.algorithm], write_bits(spec.schedule)[None, :],
+                [spec.cost_model], warmup=spec.warmup, stream=spec.stream,
+                instrumentation=instrumentation,
+            )
+            return result
         writes = write_bits(spec.schedule)[None, :]
         if spec.stream and not wants_per_request(instrumentation):
             writes = PackedMasks.from_bool(writes)
@@ -232,6 +253,69 @@ class BatchedBackend:
             instrumentation=instrumentation,
         )
         return result
+
+
+def _adaptive_results(
+    algorithms: Sequence[AdaptiveAllocator],
+    writes: np.ndarray,
+    cost_models: Sequence[CostModel],
+    *,
+    warmup: int,
+    stream: bool,
+    instrumentation,
+) -> List[EngineResult]:
+    """Fresh two-pass adaptive runs, ``algorithms[b]`` on row ``b``.
+
+    Each instance is left in the state its reference replay would
+    leave; the results carry what the kernel tiles' results carry.
+    """
+    trace = wants_per_request(instrumentation)
+    results: List[EngineResult] = []
+    for algorithm, row, cost_model in zip(algorithms, writes, cost_models):
+        codes, copy_after = algorithm.run_mask(row)
+        counts = {
+            kind: int(count)
+            for kind, count in zip(
+                EVENT_KIND_ORDER,
+                np.bincount(codes[warmup:], minlength=len(EVENT_KIND_ORDER)),
+            )
+            if count
+        }
+        prices = [cost_model.price(kind) for kind in EVENT_KIND_ORDER]
+        if trace:
+            for index, code in enumerate(codes.tolist()):
+                instrumentation.on_request(
+                    index, EVENT_KIND_ORDER[code], prices[code]
+                )
+
+        def materialize(codes=codes, copy_after=copy_after, prices=prices):
+            kinds = tuple(EVENT_KIND_ORDER[code] for code in codes.tolist())
+            events = tuple(
+                CostEvent(kind, prices[code])
+                for kind, code in zip(kinds, codes.tolist())
+            )
+            schemes = tuple(
+                AllocationScheme.TWO_COPIES if flag
+                else AllocationScheme.ONE_COPY
+                for flag in copy_after.tolist()
+            )
+            return events, kinds, schemes
+
+        results.append(
+            EngineResult(
+                algorithm_name=AdaptiveAllocator.name,
+                backend_name=BATCHED.name,
+                requests=len(codes),
+                warmup=warmup,
+                total_cost=total_from_counts(counts, cost_model),
+                event_counts=counts,
+                scheme_changes=int(
+                    np.count_nonzero(copy_after[1:] != copy_after[:-1])
+                ),
+                materialize=None if stream else materialize,
+            )
+        )
+    return results
 
 
 REFERENCE = ReferenceBackend()
@@ -283,6 +367,8 @@ def route(
     elif backend == AUTO:
         if not fresh:
             return REFERENCE, "continued run needs live instance state"
+        if name == AdaptiveAllocator.name:
+            return BATCHED, "two-pass adaptive run on the batched kernels"
         if BATCHED.supports(name):
             return BATCHED, f"batched kernel covers {name!r}"
         return REFERENCE, f"no batched kernel for {name!r}; reference fallback"
@@ -494,10 +580,18 @@ def run_batched_masks(
     for _ in range(batch):
         instruments.on_run_start(name, BATCHED.name, length, reason)
     started = time.perf_counter()
-    results = _kernel_results(
-        name, writes, cost_models,
-        warmup=warmup, stream=stream, instrumentation=instruments,
-    )
+    if name == AdaptiveAllocator.name:
+        results = _adaptive_results(
+            [make_algorithm(name) for _ in range(batch)],
+            writes.to_bool() if isinstance(writes, PackedMasks) else writes,
+            cost_models,
+            warmup=warmup, stream=stream, instrumentation=instruments,
+        )
+    else:
+        results = _kernel_results(
+            name, writes, cost_models,
+            warmup=warmup, stream=stream, instrumentation=instruments,
+        )
     elapsed = (time.perf_counter() - started) / max(batch, 1)
     for result in results:
         result.elapsed_seconds = elapsed

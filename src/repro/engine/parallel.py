@@ -155,6 +155,10 @@ class ScenarioSpec:
     seed: SeedLike = None
 
     def __post_init__(self):
+        if ensure_integer(self.length, "length") < 0:
+            raise InvalidParameterError(
+                f"length must be >= 0, got {self.length}"
+            )
         if isinstance(self.seed, np.random.Generator):
             raise InvalidParameterError(
                 "a ScenarioSpec must be rebuildable; seed it with an int "

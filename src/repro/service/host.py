@@ -373,9 +373,15 @@ class AllocationService:
         ``keys[i]`` of the plan (True = write).  Returns decisions made.
 
         Pending single-operation queues on the touched shards drain
-        first, preserving per-session submission order.
+        first, preserving per-session submission order.  ``writes``
+        must hold bools (a bool array or nested lists of bools); any
+        other dtype raises rather than being cast.
         """
-        writes = np.asarray(writes, dtype=bool)
+        writes = np.asarray(writes)
+        if writes.dtype != np.bool_:
+            raise InvalidParameterError(
+                f"writes must be a bool block, got dtype {writes.dtype}"
+            )
         if writes.ndim != 2 or writes.shape[0] != plan.num_keys:
             raise InvalidParameterError(
                 f"writes must be ({plan.num_keys}, n), got {writes.shape}"

@@ -76,17 +76,19 @@ class TestGeneratedWorkloads:
 
 
 def test_adaptive_falls_back_to_reference_cleanly():
-    # The adaptive allocator's decisions depend on its own history, so
-    # no kernel hosts it; auto-dispatch must land on reference and the
-    # result must match a manual replay.
+    # Auto dispatch runs a fresh adaptive run in two passes on the
+    # batched backend; a forced reference run replays it request by
+    # request.  Both must match a manual replay.
     from repro.core.registry import make_algorithm
 
     model = ConnectionCostModel()
     schedule = get_scenario("adversarial-rotating").generate(800, seed=3).schedule
-    result = engine_run("adaptive", schedule, model, stream=False)
-    assert result.backend_name == "reference"
     algorithm = make_algorithm("adaptive")
     kinds = tuple(
         algorithm.process(request.operation) for request in schedule
     )
-    assert result.event_kinds == kinds
+    for backend, expected in (("auto", "batched"), ("reference", "reference")):
+        result = engine_run("adaptive", schedule, model, backend=backend,
+                            stream=False)
+        assert result.backend_name == expected
+        assert result.event_kinds == kinds

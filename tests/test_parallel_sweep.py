@@ -16,6 +16,7 @@ from repro.engine import (
     EngineTask,
     FunctionTask,
     ResultCache,
+    ScenarioSpec,
     ScheduleSpec,
     SweepExecutor,
     serial_executor,
@@ -71,6 +72,14 @@ class TestSeeding:
     def test_spec_accepts_numpy_and_zero_lengths(self):
         assert len(ScheduleSpec(0.3, np.int64(5), seed=1).build()) == 5
         assert len(ScheduleSpec(0.3, 0, seed=1).build()) == 0
+
+    @pytest.mark.parametrize("length", [-3, 2.5, True, "4"])
+    def test_scenario_spec_rejects_bad_length(self, length):
+        with pytest.raises(InvalidParameterError, match="length"):
+            ScenarioSpec("diurnal", length, seed=1)
+
+    def test_scenario_spec_accepts_numpy_lengths(self):
+        assert len(ScenarioSpec("diurnal", np.int64(50), seed=1).build()) == 50
 
     def test_spec_build_is_reproducible(self):
         spec = ScheduleSpec(0.3, 500, seed=spawn_seeds(3, 1)[0])

@@ -192,6 +192,29 @@ class TestDecisions:
         assert service.session_info(key)["decisions"] == 5
         assert service.replay_verify()["decisions_replayed"] == 10
 
+    @pytest.mark.parametrize("writes", [
+        [[0.4, 0.2, 0.1]],
+        [[1, 0, 1]],
+        np.array([[1, 0, 1]], dtype=np.uint8),
+    ])
+    def test_non_bool_block_rejected(self, writes):
+        """Probabilities or 0/1 ints passed for a write mask must not be
+        decided as writes."""
+        service = AllocationService(ServiceConfig(num_shards=2))
+        service.open_session(_key(0), "sw3")
+        plan = service.plan_block([_key(0)])
+        with pytest.raises(InvalidParameterError, match="bool"):
+            service.submit_block(plan, writes)
+        assert service.session_info(_key(0))["decisions"] == 0
+
+    def test_block_of_python_bools_accepted(self):
+        service = AllocationService(ServiceConfig(num_shards=2))
+        service.open_session(_key(0), "sw3")
+        plan = service.plan_block([_key(0)])
+        assert service.submit_block(plan, [[True, False, True]]) == 3
+        assert service.session_info(_key(0))["decisions"] == 3
+        assert service.replay_verify()["decisions_replayed"] == 3
+
     def test_audit_requires_recording(self):
         service = AllocationService(ServiceConfig(record_decisions=False))
         service.open_session(_key(0), "sw3")
