@@ -641,13 +641,17 @@ class ReliableNetwork(PointToPointNetwork):
         # while the handshake frame sat in a retransmit cycle).
         # Compare live endpoint states instead, and only when the
         # channel is quiescent — no unacked frame in either direction
-        # besides this handshake frame itself (acks are generated on
-        # arrival and release is synchronous, so quiescence means
-        # every protocol message has been processed and the two
-        # views must truly agree).
+        # besides this handshake frame itself, and none buffered at a
+        # receiver.  An out-of-order arrival is acked at once but held
+        # until the gap before it fills, so a protocol message sent
+        # after the handshake can be acked, yet still wait in the
+        # buffer behind it.  Acks are generated on arrival and release
+        # is synchronous, so once both hold every protocol message has
+        # been processed and the two views must truly agree.
         pending = self.in_flight
         if seq in self._directions[destination].unacked:
             pending -= 1  # the handshake frame, acked but not yet heard
+        pending += sum(len(d.buffer) for d in self._directions.values())
         if pending == 0:
             live_mc = self._sync_providers["mc"]()
             if live_mc.owns_window and sc_state.owns_window:

@@ -176,3 +176,30 @@ class TestDisconnectionRecovery:
         assert (
             result.ledger.total_breakdown() == clean.ledger.total_breakdown()
         )
+
+
+def test_resync_waits_for_a_frame_buffered_behind_the_handshake():
+    """Pinned counterexample: on sw5 "rrwrww" with fault seed 790 the
+    MC's handshake (frame 3) is retransmitted, and the protocol message
+    the MC sent after it (frame 4) reaches the SC first, where it is
+    acked and buffered.  When the handshake is released no frame is
+    unacked, yet frame 4 is still unprocessed, so the SC's view lags
+    the MC's.  The agreement check must wait for the buffer to drain
+    instead of failing the resync."""
+    schedule = Schedule.from_string("rrwrww")
+    faults = FaultConfig(
+        drop=0.15,
+        duplicate=0.1,
+        reorder=0.2,
+        delay_jitter=0.05,
+        seed=790,
+        episodes=((0.4, 1.5),),
+    )
+    clean = simulate_protocol("sw5", schedule)
+    with wall_clock_limit(WALL_CLOCK_LIMIT_SECONDS):
+        chaos = simulate_protocol(
+            "sw5", schedule, faults=faults, max_events=MAX_KERNEL_EVENTS
+        )
+    assert chaos.event_kinds == clean.event_kinds
+    assert chaos.ledger.total_breakdown() == clean.ledger.total_breakdown()
+    assert chaos.resyncs_verified == 1
