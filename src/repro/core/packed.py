@@ -19,13 +19,16 @@ bytes* with popcounts:
   table recovers the per-position cumulative write count without ever
   unpacking the mask (``np.bitwise_count`` when numpy provides it,
   the lookup table otherwise);
+* T1m/T2m decide on **run products**: a request's event depends only
+  on whether the last ``m`` (or ``m + 1``) requests were all reads (or
+  all writes), which is the AND of ``m`` shifted copies of the packed
+  row, built by doubling in O(log m) shifts;
 * **scheme flips** are the popcount of the replica-flag sequence XOR
   its one-bit shift.
 
-T1m/T2m classification depends on run *positions* (an inherently
-per-position statistic), so their packed variants unpack tile-by-tile
-and reuse the batched kernels — packed storage still pays for the
-transport and the footprint, just not for the arithmetic.
+No family unpacks.  Every count needs only a handful of packed-sized
+temporaries, whatever ``m`` is; SWk's prefix sum is the one array with
+an entry per request.
 
 The contract is the usual one: every number produced here is equal —
 bit for bit once priced — to the per-schedule reference replay.  The
@@ -176,9 +179,10 @@ def kernel_spec(algorithm_name: str) -> AlgorithmSpec:
     Raises :class:`~repro.exceptions.UnknownAlgorithmError` for uncovered
     names.  The kernels cover exactly the session-hostable families —
     ``sw1-unoptimized`` is SWk at k = 1 — so every algorithm the
-    allocation service can host, the kernels can decide; the estimators
-    and the adaptive allocator carry sequential state and stay on the
-    reference replay.
+    allocation service can host, the kernels can decide.  The
+    estimators carry sequential state and stay on the reference replay;
+    the adaptive allocator is not a kernel family either, but its fresh
+    runs reach the batched kernels through its two-pass ``run_mask``.
     """
     spec = parse_algorithm_name(algorithm_name)
     if spec is None:
@@ -200,18 +204,50 @@ def _range_mask(length: int, start: int, nbytes: int) -> np.ndarray:
     return np.packbits(flags)
 
 
-def _shift_right_one(bits: np.ndarray, fill: bool = False) -> np.ndarray:
-    """The bit sequence delayed by one position (``out[i] = in[i-1]``).
+def _shift_right(bits: np.ndarray, s: int, fill: bool = False) -> np.ndarray:
+    """The bit sequence delayed by ``s`` positions (``out[i] = in[i-s]``).
 
-    ``fill`` supplies position 0.  Pad bits degrade gracefully — every
-    consumer masks with a range mask before popcounting.
+    ``fill`` supplies positions ``0..s-1``.  Bits only ever move to later
+    positions, so pad bits never reach a real request — and every
+    consumer masks with a range mask before popcounting anyway.
     """
-    out = bits >> 1
-    if bits.shape[1] > 1:
-        out[:, 1:] |= (bits[:, :-1] & 1) << 7
-    if fill and bits.shape[1]:
-        out[:, 0] |= 0x80
+    nbytes = bits.shape[1]
+    whole, part = divmod(s, 8)
+    out = np.full(bits.shape, 0xFF if fill else 0, dtype=np.uint8)
+    if whole >= nbytes:
+        return out
+    source = bits[:, :nbytes - whole]
+    target = out[:, whole:]
+    if not part:
+        target[...] = source
+        return out
+    np.right_shift(source, part, out=target)
+    target[:, 1:] |= (source[:, :-1] & ((1 << part) - 1)) << (8 - part)
+    if fill:
+        target[:, 0] |= (0xFF << (8 - part)) & 0xFF
     return out
+
+
+def _all_set_runs(bits: np.ndarray, m: int) -> np.ndarray:
+    """``out[i]`` = bits ``i-m+1 .. i`` are all set (``m >= 1``).
+
+    Positions before 0 count as unset.  Built by doubling, in
+    O(log m) shifts: the run of ``a + b`` ends at ``i`` iff the run of
+    ``a`` does and the run of ``b`` ends at ``i - a``.
+    """
+    run, run_length = None, 0
+    power, power_length = bits, 1
+    while True:
+        if m & power_length:
+            run = (
+                power if run is None
+                else run & _shift_right(power, run_length)
+            )
+            run_length += power_length
+            if run_length == m:
+                return run
+        power = power & _shift_right(power, power_length)
+        power_length *= 2
 
 
 def _masked_popcount(operand: np.ndarray, valid: np.ndarray) -> np.ndarray:
@@ -271,7 +307,7 @@ def _flips(copy_bits: np.ndarray, nbytes: int, length: int) -> np.ndarray:
     if length <= 1:
         return np.zeros(copy_bits.shape[0], dtype=np.int64)
     interior = _range_mask(length, 1, nbytes)
-    return _masked_popcount(copy_bits ^ _shift_right_one(copy_bits), interior)
+    return _masked_popcount(copy_bits ^ _shift_right(copy_bits, 1), interior)
 
 
 def _static_counts(packed: PackedMasks, warmup: int, two_copies: bool):
@@ -291,7 +327,7 @@ def _sw1_counts(packed: PackedMasks, warmup: int):
     nbytes = bits.shape[1]
     valid = _range_mask(packed.length, warmup, nbytes)
     # had_copy[i] = not writes[i-1]; the initial window is all writes.
-    had = _shift_right_one(~bits, fill=False)
+    had = _shift_right(~bits, 1)
     counts = np.zeros((packed.batch, _NUM_KINDS), dtype=np.int64)
     counts[:, _LOCAL_READ] = _masked_popcount(~bits & had, valid)
     counts[:, _REMOTE_READ] = _masked_popcount(~bits & ~had, valid)
@@ -314,7 +350,7 @@ def _swk_counts_from_copy(
     bits = packed.bits
     nbytes = bits.shape[1]
     valid = _range_mask(packed.length, warmup, nbytes)
-    had = _shift_right_one(copy_bits, fill=False)
+    had = _shift_right(copy_bits, 1)
     counts = np.zeros((packed.batch, _NUM_KINDS), dtype=np.int64)
     counts[:, _LOCAL_READ] = _masked_popcount(~bits & had, valid)
     counts[:, _REMOTE_READ] = _masked_popcount(~bits & ~had, valid)
@@ -334,20 +370,54 @@ def _swk_counts(packed: PackedMasks, k: int, warmup: int):
     return _swk_counts_from_copy(packed, copy_bits, warmup)
 
 
-def _threshold_counts(packed: PackedMasks, name: str, warmup: int):
-    """T1m/T2m via tile unpack — run positions are per-position data."""
-    from .batched import batched_counts, batched_run_arrays
+def _t1_counts(packed: PackedMasks, m: int, warmup: int):
+    """T1m from the reads' run products.
 
-    writes = packed.to_bool()
-    codes, copy_after = batched_run_arrays(name, writes)
-    counts = batched_counts(codes, warmup)
-    if packed.length:
-        flips = (copy_after[:, 1:] != copy_after[:, :-1]).sum(
-            axis=1, dtype=np.int64
-        )
-    else:
-        flips = np.zeros(packed.batch, dtype=np.int64)
-    return counts, flips
+    ``R_m[i]`` says requests ``i-m+1 .. i`` were all reads: the MC holds
+    a copy after ``i`` iff ``R_m[i]``, a read is local iff it extends a
+    read run past ``m`` (``R_{m+1}``), and a write sends a delete
+    request iff a copy was held before it.
+    """
+    bits = packed.bits
+    nbytes = bits.shape[1]
+    valid = _range_mask(packed.length, warmup, nbytes)
+    reads = ~bits
+    copy_bits = _all_set_runs(reads, m)
+    local = copy_bits & _shift_right(reads, m)
+    had = _shift_right(copy_bits, 1)
+    counts = np.zeros((packed.batch, _NUM_KINDS), dtype=np.int64)
+    counts[:, _LOCAL_READ] = _masked_popcount(local, valid)
+    counts[:, _REMOTE_READ] = _masked_popcount(reads & ~local, valid)
+    counts[:, _WRITE_DELETE_REQUEST] = _masked_popcount(bits & had, valid)
+    counts[:, _WRITE_NO_COPY] = _masked_popcount(bits & ~had, valid)
+    return counts, _flips(copy_bits, nbytes, packed.length)
+
+
+def _t2_counts(packed: PackedMasks, m: int, warmup: int):
+    """T2m, the mirror: run products of the writes.
+
+    ``W_m[i]`` says requests ``i-m+1 .. i`` were all writes: the write
+    closing a run of ``m`` propagates and deallocates, later ones find
+    no copy, earlier ones propagate, and a read is remote iff the copy
+    was lost before it (the MC holds one after ``i`` iff not ``W_m[i]``).
+    """
+    bits = packed.bits
+    nbytes = bits.shape[1]
+    valid = _range_mask(packed.length, warmup, nbytes)
+    lost = _all_set_runs(bits, m)
+    beyond = lost & _shift_right(bits, m)
+    lost_before = _shift_right(lost, 1)
+    reads = ~bits
+    counts = np.zeros((packed.batch, _NUM_KINDS), dtype=np.int64)
+    counts[:, _WRITE_PROPAGATED] = _masked_popcount(bits & ~lost, valid)
+    counts[:, _WRITE_PROPAGATED_DEALLOCATE] = _masked_popcount(
+        lost & ~beyond, valid
+    )
+    counts[:, _WRITE_NO_COPY] = _masked_popcount(beyond, valid)
+    counts[:, _REMOTE_READ] = _masked_popcount(reads & lost_before, valid)
+    counts[:, _LOCAL_READ] = _masked_popcount(reads & ~lost_before, valid)
+    # The copy flags are ~W_m, which flips exactly where W_m does.
+    return counts, _flips(lost, nbytes, packed.length)
 
 
 def packed_run_counts(
@@ -378,4 +448,6 @@ def packed_run_counts(
         return _sw1_counts(packed, warmup)
     if spec.family == "swk":
         return _swk_counts(packed, spec.param, warmup)
-    return _threshold_counts(packed, spec.name, warmup)
+    if spec.family == "t1":
+        return _t1_counts(packed, spec.param, warmup)
+    return _t2_counts(packed, spec.param, warmup)

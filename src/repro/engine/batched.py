@@ -16,10 +16,10 @@ sweep group, a service drain — executes here.  Two tiers sit under
   is the same pass with whole columns out and no per-row result, for
   callers that keep per-row state (the allocation service).
 
-The ``(B, N)`` grid splits into row tiles of about 2^20 elements (never
-fewer than 32 rows), fanned across a ``ThreadPoolExecutor`` — the
-kernels are embarrassingly parallel over rows and numpy releases the
-GIL, so threads scale on real cores (1.37x on 2 cores for a 256 x 250k
+The ``(B, N)`` grid splits into row tiles of at most 2^20 elements and
+at least one row (a 250k-request sweep row tiles 4 high), fanned across
+a ``ThreadPoolExecutor`` — the kernels are embarrassingly parallel over
+rows and numpy releases the GIL, so threads scale on real cores (1.37x on 2 cores for a 256 x 250k
 sweep grid).  The budget is the core count, capped at 8; a launch below
 2^20 grid elements stays serial, and sweep worker processes run one
 kernel thread each.  Tiles cover disjoint rows, so serial and threaded
@@ -48,12 +48,10 @@ from .instrumentation import wants_per_request
 
 __all__ = ["run_batched_columns"]
 
-#: Grid elements per tile; small enough that a tile's transient arrays
-#: stay cache-friendly, large enough that tile dispatch is noise.
+#: Grid elements per tile (a tile holds at least one row, however
+#: long); small enough that a tile's transient arrays stay
+#: cache-friendly, large enough that tile dispatch is noise.
 _TILE_ELEMENTS = 1 << 20
-
-#: Rows per tile at least, however long the rows.
-_TILE_ROWS = 32
 
 #: Below this many grid elements a launch stays serial — pool startup
 #: would dwarf the kernels.
@@ -87,12 +85,11 @@ def _row_tiles(
     """Split ``batch`` rows of ``length`` requests into ``[start, stop)``
     tiles.
 
-    Tiles hold about :data:`_TILE_ELEMENTS` elements and at least
-    :data:`_TILE_ROWS` rows, shrunk so a small batch still yields one
-    tile per thread; an empty batch is one empty tile, so the outputs
-    keep their shapes.
+    Tiles hold at most :data:`_TILE_ELEMENTS` elements and at least one
+    row, shrunk so a small batch still yields one tile per thread; an
+    empty batch is one empty tile, so the outputs keep their shapes.
     """
-    height = max(_TILE_ROWS, _TILE_ELEMENTS // max(length, 1))
+    height = max(1, _TILE_ELEMENTS // max(length, 1))
     rows = max(1, min(height, -(-batch // threads)))
     return [
         (start, min(start + rows, batch))
@@ -255,9 +252,15 @@ def run_batched_columns(
     requests ``warmup..N``, each row's replica flag after its last
     request and the ``(B, N - warmup)`` codes of those requests.  No
     per-row result, no pricing, no hook.  The allocation service feeds
-    ``[carry | block]`` with ``warmup`` = the carry length.
+    ``[carry | block]`` with ``warmup`` = the carry length.  ``writes``
+    must hold bools (a bool array or nested lists of bools); any other
+    dtype raises rather than being cast.
     """
-    writes = np.asarray(writes, dtype=bool)
+    writes = np.asarray(writes)
+    if writes.dtype != np.bool_:
+        raise InvalidParameterError(
+            f"writes must be a bool block, got dtype {writes.dtype}"
+        )
     batch, length = writes.shape
     warmup = ensure_warmup(warmup, length)
     if length == 0:

@@ -552,9 +552,10 @@ def run_batched_masks(
 
     ``writes`` may be a :class:`~repro.core.packed.PackedMasks` (8
     requests per byte).  A packed, streaming, untraced group takes the
-    popcount counts tier — aggregates computed on the packed bytes, no
-    ``(B, N)`` code materialization; anything that needs per-request
-    codes unpacks tile by tile.
+    popcount counts tier — aggregates computed on the packed bytes for
+    every family, T1m/T2m included, with no unpacking and no ``(B, N)``
+    code materialization; only a caller that needs per-request codes
+    (a trace, ``stream=False``) unpacks, tile by tile.
 
     Grids of 2^20 elements or more fan row tiles across a thread pool
     (see :mod:`repro.engine.batched`); the results are identical to

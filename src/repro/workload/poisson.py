@@ -22,7 +22,13 @@ from typing import Optional
 import numpy as np
 
 from ..exceptions import InvalidParameterError
-from ..types import Operation, Request, Schedule, ensure_probability
+from ..types import (
+    Operation,
+    Request,
+    Schedule,
+    ensure_integer,
+    ensure_probability,
+)
 from .seeding import SeedLike, resolve_rng
 
 __all__ = ["theta_from_rates", "bernoulli_schedule", "PoissonWorkload"]
@@ -53,6 +59,7 @@ def bernoulli_mask(
     ever constructing per-request objects.
     """
     theta = ensure_probability(theta)
+    length = ensure_integer(length, "length")
     if length < 0:
         raise InvalidParameterError(f"length must be >= 0, got {length}")
     rng = resolve_rng(rng)

@@ -14,6 +14,7 @@ int32→int64 accumulator promotion guard and the default thread budget.
 from __future__ import annotations
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,8 +24,10 @@ from hypothesis import strategies as st
 import repro.core.packed as packed_module
 import repro.engine.batched as batched_engine
 from repro.core.batched import batched_counts, batched_run_arrays
+from repro.core.session import AllocationSession
 from repro.core.packed import (
     PackedMasks,
+    _shift_right,
     accumulator_dtype,
     pack_write_masks,
     packed_cumulative,
@@ -35,7 +38,7 @@ from repro.engine import FunctionTask, SweepExecutor, run, run_batched_masks
 from repro.engine.batched import _row_tiles, run_batched_columns
 from repro.exceptions import InvalidParameterError, UnknownAlgorithmError
 from repro.costmodels.base import EVENT_KIND_ORDER
-from repro.types import AllocationScheme, Schedule, write_bits
+from repro.types import AllocationScheme, Operation, Schedule, write_bits
 
 MODEL = ConnectionCostModel()
 
@@ -51,14 +54,15 @@ def _run_on(threads, *args, tile_height=None, entry=run_batched_masks,
     threads, whatever the size.
 
     ``tile_height`` overrides the default tile height (the element
-    budget is zeroed so the row floor alone sets it).
+    budget shrinks to ``tile_height`` rows of the launch's length).
     """
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(batched_engine, "_thread_budget",
                       lambda _elements: threads)
         if tile_height is not None:
-            patch.setattr(batched_engine, "_TILE_ELEMENTS", 0)
-            patch.setattr(batched_engine, "_TILE_ROWS", tile_height)
+            length = args[1].shape[1]
+            patch.setattr(batched_engine, "_TILE_ELEMENTS",
+                          tile_height * length)
         return entry(*args, **kwargs)
 
 
@@ -192,6 +196,96 @@ class TestByteIdentity:
             assert got.schemes == reference.schemes
 
 
+def _all_masks(length):
+    """Every write mask of ``length`` requests: the ``(2^N, N)`` batch."""
+    return (
+        np.arange(1 << length)[:, None] >> np.arange(length)[None, :] & 1
+    ).astype(bool)
+
+
+def _flips_of(copy_after):
+    return (copy_after[:, 1:] != copy_after[:, :-1]).sum(axis=1)
+
+
+class TestThresholdKernels:
+    """The bit-parallel T1m/T2m counts, exhaustively up to 12 requests."""
+
+    @pytest.mark.parametrize("length", range(13))
+    def test_every_mask_every_threshold_every_warmup(self, length):
+        writes = _all_masks(length)
+        packed = pack_write_masks(writes)
+        for family in ("t1", "t2"):
+            for m in range(1, 14):
+                name = f"{family}_{m}"
+                codes, copy_after = batched_run_arrays(name, writes)
+                flips = _flips_of(copy_after)
+                for warmup in range(length + 1):
+                    counts, got_flips = packed_run_counts(
+                        name, packed, warmup
+                    )
+                    np.testing.assert_array_equal(
+                        counts, batched_counts(codes, warmup), err_msg=name
+                    )
+                    np.testing.assert_array_equal(
+                        got_flips, flips, err_msg=name
+                    )
+
+    @pytest.mark.parametrize("name", ["t1_1", "t1_3", "t1_9",
+                                      "t2_1", "t2_3", "t2_9"])
+    def test_a_slice_matches_the_session_replay(self, name):
+        length, warmup = 9, 2
+        writes = _all_masks(length)[::37]
+        counts, flips = packed_run_counts(
+            name, pack_write_masks(writes), warmup
+        )
+        for row, mask in enumerate(writes):
+            session = AllocationSession.from_name(name)
+            decisions = [
+                session.feed(Operation.WRITE if write else Operation.READ)
+                for write in mask
+            ]
+            expected = [0] * len(EVENT_KIND_ORDER)
+            for decision in decisions[warmup:]:
+                expected[EVENT_KIND_ORDER.index(decision.kind)] += 1
+            assert counts[row].tolist() == expected
+            copies = [decision.mobile_has_copy for decision in decisions]
+            assert flips[row] == sum(
+                a != b for a, b in zip(copies, copies[1:])
+            )
+
+    @given(texts=schedule_batches(max_rows=3, max_length=40),
+           shift=st.integers(0, 50), fill=st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_shift_right_delays_every_bit(self, texts, shift, fill):
+        writes = _writes_from(texts)
+        length = writes.shape[1]
+        shifted = PackedMasks(
+            _shift_right(pack_write_masks(writes).bits, shift, fill), length
+        ).to_bool()
+        expected = np.full(writes.shape, fill)
+        expected[:, shift:] = writes[:, :max(length - shift, 0)]
+        np.testing.assert_array_equal(shifted, expected)
+
+
+class TestPackedMemory:
+    """The packed tier never unpacks: its peak stays a small multiple
+    of the packed bytes, for every family it decides on the bits."""
+
+    @pytest.mark.parametrize(
+        "name", ["st1", "sw1", "t1_4", "t2_4", "t1_99", "t2_99"]
+    )
+    def test_peak_is_a_small_multiple_of_the_packed_bytes(self, name):
+        rng = np.random.default_rng(29)
+        packed = pack_write_masks(rng.random((8, 250_000)) < 0.4)
+        tracemalloc.start()
+        try:
+            packed_run_counts(name, packed, 1_000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * packed.nbytes, (name, peak / packed.nbytes)
+
+
 class TestPackedScans:
     @given(texts=schedule_batches(max_rows=3, max_length=40))
     @settings(max_examples=10, deadline=None)
@@ -254,16 +348,39 @@ class TestRaggedTiles:
         with pytest.raises(InvalidParameterError):
             run_batched_columns("sw3", np.zeros((2, 0), dtype=bool))
 
+    @pytest.mark.parametrize("writes", [
+        [[0.5, 0.2, 0.0]],
+        [[2, 0, 1]],
+        np.array([[1, 0, 1]], dtype=np.uint8),
+    ])
+    def test_columns_reject_non_bool_blocks(self, writes):
+        with pytest.raises(InvalidParameterError, match="bool"):
+            run_batched_columns("sw3", writes)
+
+    def test_columns_take_lists_of_bools(self):
+        counts, copy, codes = run_batched_columns(
+            "sw3", [[True, False, True], [False, False, False]]
+        )
+        expected, expected_copy, expected_codes = run_batched_columns(
+            "sw3", np.array([[True, False, True], [False, False, False]])
+        )
+        np.testing.assert_array_equal(counts, expected)
+        np.testing.assert_array_equal(copy, expected_copy)
+        np.testing.assert_array_equal(codes, expected_codes)
+
     def test_row_tiles_cover_exactly(self, monkeypatch):
-        # Long rows keep the 32-row floor: the sweep grid's shape.
+        # Long rows fill a tile up to the element budget: a sweep row of
+        # 250k requests tiles 4 high.
         assert _row_tiles(100, 250_000, 1) == [
-            (0, 32), (32, 64), (64, 96), (96, 100)
+            (start, start + 4) for start in range(0, 100, 4)
         ]
         assert _row_tiles(256, 250_000, 2) == [
-            (start, start + 32) for start in range(0, 256, 32)
+            (start, start + 4) for start in range(0, 256, 4)
         ]
-        # Short rows fill a tile up to the element budget: a service
-        # group of 390 rows of L + 50 requests is one tile.
+        # A row longer than the budget is a tile on its own.
+        assert _row_tiles(3, 1 << 21, 1) == [(0, 1), (1, 2), (2, 3)]
+        # Short rows too: a service group of 390 rows of L + 50
+        # requests is one tile.
         assert _row_tiles(390, 59, 1) == [(0, 390)]
         assert _row_tiles(40_000, 59, 1) == [
             (0, 17_772), (17_772, 35_544), (35_544, 40_000)
@@ -274,9 +391,23 @@ class TestRaggedTiles:
         # Tiles shrink so a small batch still feeds every thread.
         assert _row_tiles(8, 250_000, 4) == [(0, 2), (2, 4), (4, 6), (6, 8)]
         assert _row_tiles(8, 59, 4) == [(0, 2), (2, 4), (4, 6), (6, 8)]
-        monkeypatch.setattr(batched_engine, "_TILE_ELEMENTS", 0)
-        monkeypatch.setattr(batched_engine, "_TILE_ROWS", 2)
+        monkeypatch.setattr(batched_engine, "_TILE_ELEMENTS", 2 * 13)
         assert _row_tiles(5, 13, 1) == [(0, 2), (2, 4), (4, 5)]
+
+    @given(batch=st.integers(0, 3_000), length=st.integers(0, 1 << 22),
+           threads=st.integers(1, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_row_tiles_respect_the_element_budget(
+        self, batch, length, threads
+    ):
+        tiles = _row_tiles(batch, length, threads)
+        assert tiles[0][0] == 0 and tiles[-1][1] == batch
+        for (_, stop), (start, _) in zip(tiles, tiles[1:]):
+            assert stop == start
+        budget = max(batched_engine._TILE_ELEMENTS, length)
+        for start, stop in tiles:
+            assert (stop - start) * length <= budget
+            assert stop > start or batch == 0
 
 
 class TestAccumulatorGuard:

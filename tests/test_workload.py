@@ -22,6 +22,7 @@ from repro.workload import (
     threshold_tight_schedule,
     uniform_theta_regimes,
 )
+from repro.workload.poisson import bernoulli_mask
 from repro.core import make_algorithm
 from repro.costmodels import ConnectionCostModel
 
@@ -65,6 +66,20 @@ class TestBernoulliSchedule:
             bernoulli_schedule(1.5, 10, rng=rng)
         with pytest.raises(InvalidParameterError):
             bernoulli_schedule(0.5, -1, rng=rng)
+
+    @pytest.mark.parametrize("length", [2.5, True, "3"])
+    def test_rejects_non_integer_lengths(self, length):
+        with pytest.raises(InvalidParameterError, match="length"):
+            bernoulli_mask(0.4, length, rng=1)
+        with pytest.raises(InvalidParameterError, match="length"):
+            bernoulli_schedule(0.4, length, rng=1)
+
+    def test_numpy_integer_lengths_pass(self):
+        mask = bernoulli_mask(0.4, np.int64(7), rng=3)
+        assert mask.shape == (7,)
+        np.testing.assert_array_equal(
+            mask, bernoulli_schedule(0.4, np.int32(7), rng=3).write_mask()
+        )
 
 
 class TestPoissonWorkload:
