@@ -178,7 +178,7 @@ def oracle_prices(
     for k, total in zip(windows, totals[:, 0].tolist()):
         prices[AlgorithmSpec("swk", k)] = total
     if 1 in ks:
-        codes, _copy = batched_run_arrays("sw1-unoptimized", writes)
+        codes, _copy = batched_run_arrays(AlgorithmSpec("swk", 1), writes)
         total = batched_totals(batched_counts(codes), model)[0]
         prices[AlgorithmSpec("swk", 1)] = float(total)
     if ms:
@@ -284,11 +284,11 @@ def _window_costs(
     blocks *= _NUM_KINDS
     counts = np.empty((rows, len(candidates), _NUM_KINDS), dtype=np.int64)
     for slot, spec in enumerate(candidates):
-        codes, _copy = batched_run_arrays(spec.name, writes[None, :])
+        codes, _copy = batched_run_arrays(spec, writes[None, :])
         prefix = np.bincount(
             blocks + codes[0], minlength=(len(bounds) + 1) * _NUM_KINDS
         ).reshape(-1, _NUM_KINDS).cumsum(axis=0)
-        head_codes, _copy = batched_run_arrays(spec.name, heads)
+        head_codes, _copy = batched_run_arrays(spec, heads)
         counts[:, slot] = prefix[upper] - prefix[lower] + np.bincount(
             (head_codes + row_bins)[inside], minlength=rows * _NUM_KINDS
         ).reshape(rows, _NUM_KINDS)
@@ -341,7 +341,7 @@ def _run_segment(
         position += 1
     if position < stop:
         row = np.concatenate([session.carry_bits(), writes[position:stop]])
-        run_codes, run_copy = batched_run_arrays(spec.name, row[None, :])
+        run_codes, run_copy = batched_run_arrays(spec, row[None, :])
         codes[position:stop] = run_codes[0, spec.carry_length:]
         copy_after[position:stop] = run_copy[0, spec.carry_length:]
     return bool(copy_after[stop - 1])

@@ -31,13 +31,13 @@ counts give byte-identical floats.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
 from ..costmodels.base import EVENT_KIND_ORDER, CostModel
 from ..costmodels.message import MessageCostModel
-from ..exceptions import InvalidParameterError, UnknownAlgorithmError
+from ..exceptions import InvalidParameterError
 from ..types import ensure_odd_window, ensure_warmup
 from .packed import (
     _LOCAL_READ,
@@ -50,7 +50,7 @@ from .packed import (
     accumulator_dtype,
     kernel_spec,
 )
-from .session import ensure_threshold
+from .session import AlgorithmSpec, ensure_threshold
 
 __all__ = [
     "batched_run_arrays",
@@ -59,23 +59,9 @@ __all__ = [
     "scan_window_counts",
     "scan_threshold_counts",
     "scan_omega_totals",
-    "supports",
 ]
 
 _NUM_KINDS = len(EVENT_KIND_ORDER)
-
-
-def supports(algorithm_name: str) -> bool:
-    """Whether the kernels cover this algorithm (see :func:`kernel_spec`).
-
-    True exactly for the session-hostable names
-    (:func:`~repro.core.session.parse_algorithm_name`).
-    """
-    try:
-        kernel_spec(algorithm_name)
-    except UnknownAlgorithmError:
-        return False
-    return True
 
 
 def _as_matrix(writes: np.ndarray) -> np.ndarray:
@@ -195,7 +181,7 @@ def _batched_t2(writes, m: int):
 
 
 def batched_run_arrays(
-    algorithm_name: str, writes: np.ndarray
+    algorithm: Union[str, AlgorithmSpec], writes: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Event-kind codes and replica flags for a whole batch at once.
 
@@ -203,9 +189,10 @@ def batched_run_arrays(
     is ``(codes, copy_after)``, both ``(B, N)``: ``codes[b, i]`` indexes
     :data:`~repro.costmodels.base.EVENT_KIND_ORDER` and
     ``copy_after[b, i]`` says whether the MC holds a replica after
-    request ``i`` of schedule ``b``.
+    request ``i`` of schedule ``b``.  ``algorithm`` is a name or a
+    parsed spec (see :func:`~repro.core.packed.kernel_spec`).
     """
-    spec = kernel_spec(algorithm_name)
+    spec = kernel_spec(algorithm)
     writes = _as_matrix(writes)
     if writes.shape[1] == 0:
         return (

@@ -40,7 +40,7 @@ from ..types import (
     ensure_odd_window,
 )
 from .base import AllocationAlgorithm
-from .session import popcount, window_operations
+from .session import window_operations
 
 __all__ = ["EwmaAllocator", "HysteresisSlidingWindow"]
 
@@ -186,7 +186,7 @@ class HysteresisSlidingWindow(AllocationAlgorithm):
     def _slide(self, write: int) -> int:
         """Shift one request into the window; returns reads - writes."""
         self._window = (self._window << 1 | write) & self._mask
-        return self._k - 2 * popcount(self._window)
+        return self._k - 2 * self._window.bit_count()
 
     def _serve_read(self) -> CostEventKind:
         imbalance = self._slide(0)

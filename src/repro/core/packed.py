@@ -39,7 +39,7 @@ unpacked against the engine for every family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -173,21 +173,26 @@ def pack_write_masks(writes: np.ndarray) -> PackedMasks:
     return PackedMasks.from_bool(writes)
 
 
-def kernel_spec(algorithm_name: str) -> AlgorithmSpec:
-    """Parse a kernel-covered algorithm name; raise if no kernel covers it.
+def kernel_spec(algorithm: Union[str, AlgorithmSpec]) -> AlgorithmSpec:
+    """The kernel spec of ``algorithm``: the one place a name is parsed.
 
-    Raises :class:`~repro.exceptions.UnknownAlgorithmError` for uncovered
-    names.  The kernels cover exactly the session-hostable families —
+    An :class:`~repro.core.session.AlgorithmSpec` is returned unchanged,
+    so callers that already hold one (a service group, the adaptive
+    allocator's candidates) never re-parse; a name is parsed, and an
+    uncovered one raises :class:`~repro.exceptions.UnknownAlgorithmError`.
+    The kernels cover exactly the session-hostable families —
     ``sw1-unoptimized`` is SWk at k = 1 — so every algorithm the
     allocation service can host, the kernels can decide.  The
     estimators carry sequential state and stay on the reference replay;
     the adaptive allocator is not a kernel family either, but its fresh
     runs reach the batched kernels through its two-pass ``run_mask``.
     """
-    spec = parse_algorithm_name(algorithm_name)
+    if isinstance(algorithm, AlgorithmSpec):
+        return algorithm
+    spec = parse_algorithm_name(algorithm)
     if spec is None:
         raise UnknownAlgorithmError(
-            f"no kernel for {algorithm_name!r}; use repro.engine"
+            f"no kernel for {algorithm!r}; use repro.engine"
         )
     return spec
 
@@ -421,7 +426,7 @@ def _t2_counts(packed: PackedMasks, m: int, warmup: int):
 
 
 def packed_run_counts(
-    algorithm_name: str, packed: PackedMasks, warmup: int = 0
+    algorithm: Union[str, AlgorithmSpec], packed: PackedMasks, warmup: int = 0
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-kind event counts and scheme flips, straight off the bits.
 
@@ -429,13 +434,14 @@ def packed_run_counts(
     requests ``warmup..N`` (row ``b`` equal to the per-schedule
     backends' counts) and ``(B,)`` int64 scheme-change totals over the
     full rows.  This is the streaming aggregation a counts-only batch
-    needs, with no ``(B, N)`` code matrix in between.
+    needs, with no ``(B, N)`` code matrix in between.  ``algorithm``
+    is a name or a parsed spec (see :func:`kernel_spec`).
     """
     if not isinstance(packed, PackedMasks):
         raise InvalidParameterError(
             f"packed_run_counts takes PackedMasks, got {type(packed).__name__}"
         )
-    spec = kernel_spec(algorithm_name)
+    spec = kernel_spec(algorithm)
     warmup = ensure_warmup(warmup, packed.length)
     if packed.length == 0:
         return (

@@ -73,7 +73,6 @@ __all__ = [
     "Decision",
     "ensure_threshold",
     "parse_algorithm_name",
-    "popcount",
     "window_operations",
 ]
 
@@ -215,11 +214,6 @@ _WRITE_PROPAGATED_DEALLOCATE = Decision(
 _WRITE_DELETE_REQUEST = Decision(
     CostEventKind.WRITE_DELETE_REQUEST, False, deallocated=True
 )
-
-
-def popcount(bits: int) -> int:
-    """The number of set bits of a non-negative int."""
-    return bits.bit_count()
 
 
 def window_operations(window: int, k: int) -> Tuple[Operation, ...]:

@@ -66,9 +66,10 @@ class RunSpec:
     """Everything a backend needs to execute one run.
 
     ``algorithm`` is the configured instance (always present — the
-    dispatcher builds one from a short name when needed); backends that
-    re-derive behaviour from the name alone (batched, protocol) use
-    ``algorithm_name`` and leave the instance untouched.
+    dispatcher builds one from a short name when needed).  The protocol
+    backend re-derives behaviour from ``algorithm_name`` alone; the
+    batched backend runs a session-backed instance's spec, or an
+    adaptive instance's two passes.
     """
 
     algorithm: AllocationAlgorithm

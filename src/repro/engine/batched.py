@@ -1,8 +1,10 @@
 """The kernel tile pass: one ``(B, N)`` launch, row tile by row tile.
 
 Every batched run in the engine — a single run (a batch of one), a
-sweep group, a service drain — executes here.  Two tiers sit under
-:func:`_kernel_results`:
+sweep group, a service drain — executes here, on a parsed
+:class:`~repro.core.session.AlgorithmSpec` (a name is parsed once, by
+:func:`~repro.core.packed.kernel_spec`, never per tile).  Two tiers sit
+under :func:`_kernel_results`:
 
 * **Packed counts.**  When the caller hands a
   :class:`~repro.core.packed.PackedMasks` (8 requests per byte) and
@@ -15,6 +17,11 @@ sweep group, a service drain — executes here.  Two tiers sit under
   caller projects the columns it needs.  :func:`run_batched_columns`
   is the same pass with whole columns out and no per-row result, for
   callers that keep per-row state (the allocation service).
+
+A fresh adaptive run decides its rows in two passes instead
+(:meth:`~repro.core.adaptive.AdaptiveAllocator.run_mask`, one row after
+another); its ``(codes, copy_after)`` go through the same counts, flips
+and row builder, so every batched result is built in one place.
 
 The ``(B, N)`` grid splits into row tiles of at most 2^20 elements and
 at least one row (a 250k-request sweep row tiles 4 high), fanned across
@@ -38,8 +45,10 @@ from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..core.adaptive import AdaptiveAllocator
 from ..core.batched import batched_counts, batched_run_arrays
-from ..core.packed import PackedMasks, packed_run_counts
+from ..core.packed import PackedMasks, kernel_spec, packed_run_counts
+from ..core.session import AlgorithmSpec
 from ..costmodels.base import EVENT_KIND_ORDER, CostEvent, CostModel
 from ..exceptions import InvalidParameterError
 from ..types import AllocationScheme, ensure_warmup
@@ -119,7 +128,7 @@ def _map_tiles(compute_tile, batch: int, length: int):
 
 
 def _bool_tiles(
-    algorithm_name: str,
+    spec: AlgorithmSpec,
     writes: Union[np.ndarray, PackedMasks],
     warmup: int,
     project: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, ...]],
@@ -138,13 +147,38 @@ def _bool_tiles(
             writes.rows(start, stop).to_bool() if packed
             else writes[start:stop]
         )
-        codes, copy_after = batched_run_arrays(algorithm_name, tile)
+        codes, copy_after = batched_run_arrays(spec, tile)
         return (batched_counts(codes, warmup),) + project(codes, copy_after)
 
     return _map_tiles(compute_tile, *writes.shape)
 
 
+def _flip_counts(copy_after: np.ndarray) -> np.ndarray:
+    """Scheme changes per row of a ``(B, N)`` replica-flag matrix."""
+    return np.count_nonzero(copy_after[:, 1:] != copy_after[:, :-1], axis=1)
+
+
+def _two_pass_rows(
+    allocator: AdaptiveAllocator, writes
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(codes, copy_after)`` of a fresh two-pass adaptive run per row.
+
+    :meth:`~repro.core.adaptive.AdaptiveAllocator.run_mask` resets the
+    instance before each row and leaves it as the replay of that row
+    would, so after the loop it holds the last row's end state.  Rows
+    run serially: ``run_mask`` is Python-bound.
+    """
+    if isinstance(writes, PackedMasks):
+        writes = writes.to_bool()
+    codes = np.empty(writes.shape, dtype=np.int64)
+    copy_after = np.empty(writes.shape, dtype=bool)
+    for row, bits in enumerate(writes):
+        codes[row], copy_after[row] = allocator.run_mask(bits)
+    return codes, copy_after
+
+
 def _kernel_results(
+    kernel: Union[AlgorithmSpec, AdaptiveAllocator],
     algorithm_name: str,
     writes,
     cost_models: Sequence[CostModel],
@@ -153,8 +187,10 @@ def _kernel_results(
     stream: bool,
     instrumentation,
 ) -> List[EngineResult]:
-    """Run the batch kernels and build one result per row.
+    """Decide every row of a batch and build one result per row.
 
+    ``kernel`` is the spec whose kernels decide the rows, or an
+    adaptive allocator that decides each row in its two passes.
     ``writes`` is a ``(B, N)`` bool matrix or a
     :class:`~repro.core.packed.PackedMasks`.  Fires only the
     per-request trace hook (when an instrument listens); run lifecycle
@@ -166,24 +202,24 @@ def _kernel_results(
     trace = wants_per_request(instrumentation)
     need_codes = trace or not stream
     codes = copy_after = None
-    if isinstance(writes, PackedMasks) and not need_codes:
+    if not isinstance(kernel, AlgorithmSpec):
+        codes, copy_after = _two_pass_rows(kernel, writes)
+        counts_matrix = batched_counts(codes, warmup)
+        flips = _flip_counts(copy_after)
+    elif isinstance(writes, PackedMasks) and not need_codes:
         # Packed counts tier: aggregates straight off the bits.
         counts_matrix, flips = _map_tiles(
             lambda start, stop: packed_run_counts(
-                algorithm_name, writes.rows(start, stop), warmup
+                kernel, writes.rows(start, stop), warmup
             ),
             batch,
             length,
         )
     else:
         counts_matrix, flips, codes, copy_after = _bool_tiles(
-            algorithm_name, writes, warmup,
+            kernel, writes, warmup,
             lambda codes, copy_after: (
-                np.count_nonzero(
-                    copy_after[:, 1:] != copy_after[:, :-1], axis=1
-                ),
-                codes,
-                copy_after,
+                _flip_counts(copy_after), codes, copy_after
             ),
         )
 
@@ -244,7 +280,7 @@ def _kernel_results(
 
 
 def run_batched_columns(
-    algorithm_name: str, writes: np.ndarray, warmup: int = 0
+    algorithm: Union[str, AlgorithmSpec], writes: np.ndarray, warmup: int = 0
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One kernel pass over a ``(B, N)`` write block, columns out.
 
@@ -252,7 +288,8 @@ def run_batched_columns(
     requests ``warmup..N``, each row's replica flag after its last
     request and the ``(B, N - warmup)`` codes of those requests.  No
     per-row result, no pricing, no hook.  The allocation service feeds
-    ``[carry | block]`` with ``warmup`` = the carry length.  ``writes``
+    its group's spec and ``[carry | block]`` with ``warmup`` = the
+    carry length; ``algorithm`` may also be a name.  ``writes``
     must hold bools (a bool array or nested lists of bools); any other
     dtype raises rather than being cast.
     """
@@ -266,6 +303,6 @@ def run_batched_columns(
     if length == 0:
         raise InvalidParameterError("a column block needs at least one request")
     return _bool_tiles(
-        algorithm_name, writes, warmup,
+        kernel_spec(algorithm), writes, warmup,
         lambda codes, copy_after: (copy_after[:, -1], codes[:, warmup:]),
     )

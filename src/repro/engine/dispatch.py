@@ -51,15 +51,14 @@ import numpy as np
 
 from ..core.adaptive import AdaptiveAllocator
 from ..core.base import AllocationAlgorithm
-from ..core.batched import supports as kernels_cover
-from ..core.packed import PackedMasks
+from ..core.packed import PackedMasks, kernel_spec
 from ..core.registry import make_algorithm
-from ..costmodels.base import (
-    EVENT_KIND_ORDER,
-    CostEvent,
-    CostEventKind,
-    CostModel,
+from ..core.session import (
+    AlgorithmSpec,
+    SessionBackedAlgorithm,
+    parse_algorithm_name,
 )
+from ..costmodels.base import CostEvent, CostEventKind, CostModel
 from ..exceptions import InvalidParameterError, UnknownAlgorithmError
 from ..types import (
     AllocationScheme,
@@ -228,23 +227,17 @@ class BatchedBackend:
         """Whether the kernels cover it: the session-hostable families,
         plus the adaptive allocator's two-pass run."""
         return (
-            kernels_cover(algorithm_name)
+            parse_algorithm_name(algorithm_name) is not None
             or algorithm_name == AdaptiveAllocator.name
         )
 
     def execute(self, spec: RunSpec, instrumentation) -> EngineResult:
         """Run the spec as a batch of one through the kernel tiles."""
-        if spec.algorithm_name == AdaptiveAllocator.name:
-            [result] = _adaptive_results(
-                [spec.algorithm], write_bits(spec.schedule)[None, :],
-                [spec.cost_model], warmup=spec.warmup, stream=spec.stream,
-                instrumentation=instrumentation,
-            )
-            return result
         writes = write_bits(spec.schedule)[None, :]
         if spec.stream and not wants_per_request(instrumentation):
             writes = PackedMasks.from_bool(writes)
         [result] = _kernel_results(
+            _kernel(spec.algorithm_name, spec.algorithm),
             spec.algorithm_name,
             writes,
             [spec.cost_model],
@@ -255,67 +248,20 @@ class BatchedBackend:
         return result
 
 
-def _adaptive_results(
-    algorithms: Sequence[AdaptiveAllocator],
-    writes: np.ndarray,
-    cost_models: Sequence[CostModel],
-    *,
-    warmup: int,
-    stream: bool,
-    instrumentation,
-) -> List[EngineResult]:
-    """Fresh two-pass adaptive runs, ``algorithms[b]`` on row ``b``.
+def _kernel(
+    name: str, algorithm: Optional[AllocationAlgorithm] = None
+) -> Union[AlgorithmSpec, AdaptiveAllocator]:
+    """What decides the rows of a batched launch of ``name``.
 
-    Each instance is left in the state its reference replay would
-    leave; the results carry what the kernel tiles' results carry.
+    The adaptive allocator decides them itself in two passes
+    (``algorithm``, or a fresh default instance); a kernel family runs
+    its spec: a session-backed instance's own, else the parsed name.
     """
-    trace = wants_per_request(instrumentation)
-    results: List[EngineResult] = []
-    for algorithm, row, cost_model in zip(algorithms, writes, cost_models):
-        codes, copy_after = algorithm.run_mask(row)
-        counts = {
-            kind: int(count)
-            for kind, count in zip(
-                EVENT_KIND_ORDER,
-                np.bincount(codes[warmup:], minlength=len(EVENT_KIND_ORDER)),
-            )
-            if count
-        }
-        prices = [cost_model.price(kind) for kind in EVENT_KIND_ORDER]
-        if trace:
-            for index, code in enumerate(codes.tolist()):
-                instrumentation.on_request(
-                    index, EVENT_KIND_ORDER[code], prices[code]
-                )
-
-        def materialize(codes=codes, copy_after=copy_after, prices=prices):
-            kinds = tuple(EVENT_KIND_ORDER[code] for code in codes.tolist())
-            events = tuple(
-                CostEvent(kind, prices[code])
-                for kind, code in zip(kinds, codes.tolist())
-            )
-            schemes = tuple(
-                AllocationScheme.TWO_COPIES if flag
-                else AllocationScheme.ONE_COPY
-                for flag in copy_after.tolist()
-            )
-            return events, kinds, schemes
-
-        results.append(
-            EngineResult(
-                algorithm_name=AdaptiveAllocator.name,
-                backend_name=BATCHED.name,
-                requests=len(codes),
-                warmup=warmup,
-                total_cost=total_from_counts(counts, cost_model),
-                event_counts=counts,
-                scheme_changes=int(
-                    np.count_nonzero(copy_after[1:] != copy_after[:-1])
-                ),
-                materialize=None if stream else materialize,
-            )
-        )
-    return results
+    if name == AdaptiveAllocator.name:
+        return algorithm if algorithm is not None else AdaptiveAllocator()
+    if isinstance(algorithm, SessionBackedAlgorithm):
+        return algorithm.session.spec
+    return kernel_spec(name)
 
 
 REFERENCE = ReferenceBackend()
@@ -581,18 +527,10 @@ def run_batched_masks(
     for _ in range(batch):
         instruments.on_run_start(name, BATCHED.name, length, reason)
     started = time.perf_counter()
-    if name == AdaptiveAllocator.name:
-        results = _adaptive_results(
-            [make_algorithm(name) for _ in range(batch)],
-            writes.to_bool() if isinstance(writes, PackedMasks) else writes,
-            cost_models,
-            warmup=warmup, stream=stream, instrumentation=instruments,
-        )
-    else:
-        results = _kernel_results(
-            name, writes, cost_models,
-            warmup=warmup, stream=stream, instrumentation=instruments,
-        )
+    results = _kernel_results(
+        _kernel(name), name, writes, cost_models,
+        warmup=warmup, stream=stream, instrumentation=instruments,
+    )
     elapsed = (time.perf_counter() - started) / max(batch, 1)
     for result in results:
         result.elapsed_seconds = elapsed

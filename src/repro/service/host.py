@@ -29,9 +29,9 @@ Architecture
   :class:`~repro.exceptions.ServiceOverloadError` past
   ``max_queue_depth`` as the backpressure signal.
 
-* **Audit.**  With ``record_decisions`` on (the default) every decided
-  code is logged per session.  :meth:`AllocationService.audit` replays
-  the logged decisions as synthesized protocol messages into per-shard
+* **Audit.**  Every decided code is logged per session.
+  :meth:`AllocationService.audit` replays the logged decisions as
+  synthesized protocol messages into per-shard
   :class:`~repro.sim.ledger.TrafficLedger` books and runs the
   conservation audit; :meth:`AllocationService.replay_verify` re-runs
   sampled sessions through :func:`repro.engine.run` and demands
@@ -101,8 +101,6 @@ class ServiceConfig:
     max_queue_depth: int = 65536
     #: Drain a shard automatically when its queue crosses the threshold.
     auto_drain: bool = True
-    #: Keep the per-session decision log (required by audit/replay).
-    record_decisions: bool = True
     #: Session namespace keys default into.
     namespace: str = "alloc"
     #: SC replica count the failover drills exercise (1 disables them).
@@ -419,16 +417,15 @@ class AllocationService:
         else:
             full = writes
         counts, copy, codes = run_batched_columns(
-            group.spec.name, full, carry_length
+            group.spec, full, carry_length
         )
         group.counts[rows] += counts
         group.copy[rows] = copy
         if carry_length:
             group.carry[rows] = full[:, -carry_length:]
-        if self.config.record_decisions:
-            group.history.append(
-                (rows.copy(), writes.copy(), codes.astype(np.int8))
-            )
+        group.history.append(
+            (rows.copy(), writes.copy(), codes.astype(np.int8))
+        )
         self._decisions += batch * length
         self._instruments.on_shard_drain(shard_index, batch, batch * length)
         return codes
@@ -646,13 +643,6 @@ class AllocationService:
             return empty, np.empty(0, dtype=np.int8)
         return np.concatenate(writes), np.concatenate(codes)
 
-    def _require_log(self) -> None:
-        if not self.config.record_decisions:
-            raise ServiceError(
-                "decision recording is disabled; audit and replay need "
-                "record_decisions=True"
-            )
-
     def audit(self, max_sessions_per_shard: Optional[int] = None) -> Dict[str, int]:
         """Conservation audit of the logged decisions, per shard.
 
@@ -664,7 +654,6 @@ class AllocationService:
         audit work on large populations (the sample is the first N
         sessions of each shard in open order — deterministic).
         """
-        self._require_log()
         shards_audited = 0
         sessions_audited = 0
         requests_audited = 0
@@ -747,7 +736,6 @@ class AllocationService:
         service's cumulative counts.  Raises
         :class:`~repro.exceptions.ServiceError` on the first divergence.
         """
-        self._require_log()
         chosen = sorted(self._sessions, key=lambda key: key.digest())[:sample]
         replayed = 0
         decisions = 0

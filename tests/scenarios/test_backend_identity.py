@@ -9,13 +9,17 @@ arbitrary generated piecewise workloads.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.packed import pack_write_masks
 from repro.costmodels.connection import ConnectionCostModel
 from repro.costmodels.message import MessageCostModel
+from repro.engine import TraceInstrumentation, run_batched_masks
 from repro.engine import run as engine_run
+from repro.types import write_bits
 from repro.workload.scenarios import available_scenarios, get_scenario
 from .conftest import case_seeds
 
@@ -92,3 +96,47 @@ def test_adaptive_falls_back_to_reference_cleanly():
                             stream=False)
         assert result.backend_name == expected
         assert result.event_kinds == kinds
+
+    # The two-pass rows go through the kernels' row builder: under a
+    # message model with a warmup, everything observable — per-request
+    # events and schemes, counts, flips, the total's float and the
+    # trace hook — equals the replay.
+    model = MessageCostModel(0.35)
+    runs = {}
+    for backend in ("batched", "reference"):
+        trace = TraceInstrumentation()
+        result = engine_run("adaptive", schedule, model, backend=backend,
+                            warmup=150, instrumentation=trace)
+        assert result.backend_name == backend
+        runs[backend] = (result, trace.records)
+    (batched, batched_trace), (reference, reference_trace) = (
+        runs["batched"], runs["reference"]
+    )
+    assert batched.events == reference.events
+    assert batched.schemes == reference.schemes
+    assert batched.scheme_changes == reference.scheme_changes
+    assert batched.event_counts == reference.event_counts
+    assert batched.total_cost == reference.total_cost
+    assert batched_trace == reference_trace
+
+
+def test_adaptive_batch_rows_price_their_own_models():
+    """``run_batched_masks("adaptive", …)`` on packed rows, one cost
+    model per row, equals each row's lone reference replay."""
+    schedules = [
+        get_scenario("adversarial-rotating").generate(600, seed=seed).schedule
+        for seed in (4, 5, 6)
+    ]
+    models = [ConnectionCostModel(), MessageCostModel(0.0),
+              MessageCostModel(0.8)]
+    writes = np.stack([write_bits(schedule) for schedule in schedules])
+    results = run_batched_masks(
+        "adaptive", pack_write_masks(writes), models, warmup=40
+    )
+    for schedule, model, batched in zip(schedules, models, results):
+        reference = engine_run("adaptive", schedule, model,
+                               backend="reference", stream=True, warmup=40)
+        assert batched.backend_name == "batched"
+        assert batched.event_counts == reference.event_counts
+        assert batched.scheme_changes == reference.scheme_changes
+        assert batched.total_cost == reference.total_cost

@@ -6,9 +6,10 @@ The contract under test, hypothesis-swept rather than example-based:
   kernels cover — totals, counts, and (materialized) per-request
   classifications — whether a run goes through a batch or alone through
   ``engine.run`` on the auto path (a batch of one);
-* kernel coverage is exactly session-hostability, and the unoptimized
-  k = 1 window (``sw1-unoptimized``) equals the reference replay on
-  every schedule of up to 10 requests at every warmup;
+* kernel coverage is exactly session-hostability, and every spec with
+  a parameter of at most 5 decides alike whether passed parsed or by
+  name, and like a fresh session, on every schedule of up to 10
+  requests at every warmup;
 * the k/m/omega parameter scans reproduce their brute-force loops
   exactly (the sufficient statistics lose nothing);
 * the sweep executor's batched path is invisible in outcomes (serial
@@ -30,14 +31,18 @@ from repro.core.batched import (
     scan_omega_totals,
     scan_threshold_counts,
     scan_window_counts,
-    supports,
 )
 from repro.core.packed import pack_write_masks, packed_run_counts
 from repro.core.registry import make_algorithm
-from repro.core.session import ensure_threshold, parse_algorithm_name
+from repro.core.session import (
+    AllocationSession,
+    ensure_threshold,
+    parse_algorithm_name,
+)
 from repro.costmodels import ConnectionCostModel, MessageCostModel
 from repro.costmodels.base import EVENT_KIND_ORDER
 from repro.engine import (
+    BatchedBackend,
     CounterInstrumentation,
     SweepExecutor,
     run,
@@ -45,7 +50,7 @@ from repro.engine import (
 )
 from repro.engine.parallel import EngineTask, ScheduleSpec
 from repro.exceptions import InvalidParameterError, UnknownAlgorithmError
-from repro.types import Schedule, ensure_odd_window, write_bits
+from repro.types import READ, WRITE, Schedule, ensure_odd_window, write_bits
 from repro.workload import bernoulli_schedule
 
 MODEL = ConnectionCostModel()
@@ -77,7 +82,7 @@ class TestKernelEquivalence:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_batched_rows_equal_solo_backends(self, algorithm_name, texts):
         """Each batch row is byte-identical to the reference replay."""
-        if not supports(algorithm_name):
+        if parse_algorithm_name(algorithm_name) is None:
             return
         schedules = [Schedule.from_string(text) for text in texts]
         writes = stack_masks(schedules)
@@ -157,14 +162,17 @@ def _replay_kinds(name, schedule):
 class TestSupports:
     def test_supported(self):
         for name in NAMES + ("sw1-unoptimized",):
-            assert supports(name)
+            assert BatchedBackend().supports(name)
 
     def test_unsupported(self):
         """Kernel coverage is exactly session-hostability."""
-        assert not supports("ewma_20")
+        backend = BatchedBackend()
+        assert not backend.supports("ewma_20")
         for name in ("ewma_20", "hsw9_2", "bogus", "sw1-unoptimized",
                      "sw7", "t2_9"):
-            assert supports(name) == (parse_algorithm_name(name) is not None)
+            assert backend.supports(name) == (
+                parse_algorithm_name(name) is not None
+            )
 
     def test_unknown_raises(self):
         with pytest.raises(UnknownAlgorithmError):
@@ -236,52 +244,98 @@ def _all_masks(length):
     return ((values >> np.arange(length)) & 1).astype(bool)
 
 
-class TestUnoptimizedWindowExhaustive:
-    """``sw1-unoptimized`` (SWk at k = 1) through every kernel tier.
+#: Every kernel spec with a parameter of at most 5.
+SMALL_SPECS = tuple(
+    parse_algorithm_name(name)
+    for name in ("st1", "st2", "sw1", "sw1-unoptimized", "sw3", "sw5")
+    + tuple(f"t{family}_{m}" for family in (1, 2) for m in range(1, 6))
+)
 
-    Every mask of up to 10 requests at every warmup: the batched codes,
-    the packed counts and flips, and a lone auto-dispatched
-    ``engine.run`` all equal the reference replay.
+_CODE = {kind: code for code, kind in enumerate(EVENT_KIND_ORDER)}
+
+
+def _fed(spec, masks):
+    """``(codes, copy_after)`` of a fresh session fed each mask row."""
+    codes = np.empty(masks.shape, dtype=np.int64)
+    copy_after = np.empty(masks.shape, dtype=bool)
+    for row, mask in enumerate(masks.tolist()):
+        session = AllocationSession(spec)
+        for column, bit in enumerate(mask):
+            decision = session.feed(WRITE if bit else READ)
+            codes[row, column] = _CODE[decision.kind]
+            copy_after[row, column] = decision.mobile_has_copy
+    return codes, copy_after
+
+
+def _counts_from(codes):
+    """``(B, N + 1, 6)``: row ``b``'s per-kind counts from each warmup on."""
+    onehot = (codes[:, :, None] == np.arange(len(EVENT_KIND_ORDER))).astype(
+        np.int64
+    )
+    counts = np.zeros(
+        (codes.shape[0], codes.shape[1] + 1, len(EVENT_KIND_ORDER)),
+        dtype=np.int64,
+    )
+    counts[:, :-1] = onehot[:, ::-1].cumsum(axis=1)[:, ::-1]
+    return counts
+
+
+class TestSpecNameExhaustive:
+    """A parsed spec and its name decide alike, exhaustively.
+
+    For every spec with a parameter of at most 5 and every mask of up
+    to 10 requests: ``batched_run_arrays`` on the spec equals it on the
+    name and a fresh session's ``feed`` sequence; at every warmup,
+    ``packed_run_counts`` on the spec equals the counts of those codes
+    and their scheme flips.  ``sw1-unoptimized`` (SWk at k = 1, which
+    shares no rule with SW1) also runs every mask through a lone
+    auto-dispatched ``engine.run``, traced and streamed at every warmup.
     """
 
-    NAME = "sw1-unoptimized"
+    UNOPTIMIZED = parse_algorithm_name("sw1-unoptimized")
 
     @pytest.mark.parametrize("length", range(11))
     def test_every_mask_and_warmup_equals_replay(self, length):
         masks = _all_masks(length)
-        codes, _copy = batched_run_arrays(self.NAME, masks)
         packed = pack_write_masks(masks)
-        tiers = [
-            packed_run_counts(self.NAME, packed, warmup)
-            for warmup in range(length + 1)
-        ]
-        algorithm = make_algorithm(self.NAME)
+        for spec in SMALL_SPECS:
+            codes, copy_after = batched_run_arrays(spec, masks)
+            named_codes, named_copy = batched_run_arrays(spec.name, masks)
+            fed_codes, fed_copy = _fed(spec, masks)
+            for got in (codes, named_codes):
+                np.testing.assert_array_equal(got, fed_codes)
+            for got in (copy_after, named_copy):
+                np.testing.assert_array_equal(got, fed_copy)
+            expected = _counts_from(fed_codes)
+            flips = np.count_nonzero(fed_copy[:, 1:] != fed_copy[:, :-1],
+                                     axis=1)
+            for warmup in range(length + 1):
+                counts, packed_flips = packed_run_counts(spec, packed, warmup)
+                np.testing.assert_array_equal(counts, expected[:, warmup])
+                np.testing.assert_array_equal(packed_flips, flips)
+            if spec == self.UNOPTIMIZED:
+                self._check_engine(spec.name, masks, fed_codes, expected,
+                                   flips)
+
+    @staticmethod
+    def _check_engine(name, masks, codes, expected, flips):
         for row, mask in enumerate(masks):
             schedule = Schedule.from_string(
                 "".join("w" if bit else "r" for bit in mask)
             )
-            reference = replay(algorithm, schedule, MODEL)
-            kinds = tuple(event.kind for event in reference.events)
-            flips = sum(
-                before is not after
-                for before, after in zip(reference.schemes,
-                                         reference.schemes[1:])
-            )
-            assert tuple(EVENT_KIND_ORDER[code] for code in codes[row]) == kinds
-            traced = run(self.NAME, schedule, MODEL)
+            traced = run(name, schedule, MODEL)
             assert traced.backend_name == "batched"
-            assert traced.event_kinds == kinds
-            for warmup, (counts, packed_flips) in enumerate(tiers):
-                expected = [kinds[warmup:].count(kind)
-                            for kind in EVENT_KIND_ORDER]
-                assert counts[row].tolist() == expected
-                assert packed_flips[row] == flips
-                auto = run(self.NAME, schedule, MODEL, stream=True,
-                           warmup=warmup)
+            assert traced.event_kinds == tuple(
+                EVENT_KIND_ORDER[code] for code in codes[row]
+            )
+            for warmup in range(len(mask) + 1):
+                auto = run(name, schedule, MODEL, stream=True, warmup=warmup)
                 assert auto.backend_name == "batched"
                 assert [auto.event_counts.get(kind, 0)
-                        for kind in EVENT_KIND_ORDER] == expected
-                assert auto.scheme_changes == flips
+                        for kind in EVENT_KIND_ORDER] == (
+                    expected[row, warmup].tolist()
+                )
+                assert auto.scheme_changes == flips[row]
 
 
 class TestParameterScans:

@@ -215,15 +215,6 @@ class TestDecisions:
         assert service.session_info(_key(0))["decisions"] == 3
         assert service.replay_verify()["decisions_replayed"] == 3
 
-    def test_audit_requires_recording(self):
-        service = AllocationService(ServiceConfig(record_decisions=False))
-        service.open_session(_key(0), "sw3")
-        service.serve_one(_key(0), READ)
-        with pytest.raises(ServiceError):
-            service.audit()
-        with pytest.raises(ServiceError):
-            service.replay_verify()
-
 
 class TestBackpressure:
     def test_auto_drain_levels_the_queue(self):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core import SlidingWindow, SlidingWindowOne, replay
-from repro.core.session import popcount
 from repro.costmodels import ConnectionCostModel, CostEventKind
 from repro.exceptions import InvalidParameterError
 from repro.types import READ, WRITE, AllocationScheme, Schedule
@@ -65,7 +64,7 @@ class TestSlidingWindowBehaviour:
         pattern = Schedule.from_string("rrrwwrwrwwwrrrrrwwwwwrrr")
         for request in pattern:
             algorithm.process(request.operation)
-            writes = popcount(algorithm.session.carry)
+            writes = algorithm.session.carry.bit_count()
             assert algorithm.mobile_has_copy == (7 - writes > writes)
 
     def test_reset_restores_initial_state(self):
